@@ -121,8 +121,9 @@ fn capture_engine_mips(
 /// against the shared L2 for `sim_us` of simulated wall time, reporting
 /// total simulated instructions (all cores) per wall-clock second.
 ///
-/// On a multi-core host the per-quantum core stepping overlaps on the
-/// `gpm_par` pool; on a 1-core host this measures the serial protocol.
+/// `FullCmpSim::new` builds the one-cluster chip, which steps on a single
+/// `gpm_par` worker, so this measures the serial protocol at any pool
+/// width.
 fn cmp_full_mips(name: &'static str, combo: &WorkloadCombo, sim_us: f64) -> Measurement {
     let modes = ModeCombination::uniform(combo.cores(), PowerMode::Turbo);
     let mut sim = FullCmpSim::new(

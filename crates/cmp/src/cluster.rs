@@ -1,21 +1,21 @@
 //! Cluster topology and the inter-cluster interconnect model for wide CMPs.
 //!
-//! The flat [`FullCmpSim`](crate::FullCmpSim) funnels every core's L2
-//! traffic through one [`SharedL2`](crate::SharedL2), which makes phase 2
-//! of the two-phase quantum protocol an inherently serial global merge. At
-//! 64–256 cores that merge dominates the run. The clustered configuration
-//! described by [`ClusterTopology`] breaks the chip into K clusters of
-//! 8–16 cores, each with a *private* per-cluster L2; only misses leave the
-//! cluster, crossing the global interconnect modelled by [`Interconnect`]
-//! on their way to memory. Both phases of the protocol then run per
-//! cluster in parallel, and the only serialised work left is summing the
-//! clusters' miss counts into the interconnect's window accounting.
+//! The paper's chip funnels every core's L2 traffic through one
+//! [`SharedL2`](crate::SharedL2), which makes phase 2 of the two-phase
+//! quantum protocol one serial merge over the whole chip. At 64–256 cores
+//! that merge dominates the run. [`ClusterTopology`] breaks the chip into
+//! K clusters of 8–16 cores, each with a *private* per-cluster L2; only
+//! misses leave the cluster, crossing the global interconnect modelled by
+//! [`Interconnect`] on their way to memory. [`FullCmpSim`](crate::FullCmpSim)
+//! runs both phases of the protocol per cluster in parallel, and the only
+//! serialised work left is summing the clusters' miss counts into the
+//! interconnect's window accounting.
 //!
-//! The degenerate configuration — one cluster, zero-latency interconnect —
-//! is arithmetically identical to the flat simulator: the per-miss penalty
-//! is `hop + queue = 0.0`, and adding `0.0` to a finite positive latency is
-//! exact in IEEE 754. `tests/hier_equivalence.rs` pins that bit-identity
-//! against the flat path's golden hashes.
+//! The paper's chip is the one-cluster case with a zero-latency
+//! interconnect, which [`FullCmpSim::new`](crate::FullCmpSim::new) builds:
+//! the per-miss penalty is `hop + queue = 0.0`, and adding `0.0` to a
+//! finite positive latency is exact in IEEE 754. `tests/cmp_equivalence.rs`
+//! and `tests/hier_equivalence.rs` pin its golden hashes.
 
 use std::ops::Range;
 
@@ -64,8 +64,8 @@ impl ClusterTopology {
         })
     }
 
-    /// The degenerate single-cluster topology: all `cores` share one L2,
-    /// exactly like the flat simulator.
+    /// The single-cluster topology: all `cores` share one L2, as on the
+    /// paper's chip.
     ///
     /// # Errors
     ///
@@ -137,7 +137,7 @@ pub struct InterconnectConfig {
 
 impl InterconnectConfig {
     /// A free interconnect: zero latency, infinite bandwidth. With one
-    /// cluster this reproduces the flat simulator bit-for-bit.
+    /// cluster this is the paper's chip.
     #[must_use]
     pub fn zero() -> Self {
         Self {

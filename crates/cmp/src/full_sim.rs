@@ -37,12 +37,11 @@ pub struct FullCmpOutcome {
     pub per_core: Vec<PerCoreOutcome>,
     /// Wall-clock duration simulated.
     pub duration: Micros,
-    /// Mean shared-bus utilisation over the run (averaged across clusters
-    /// in a clustered configuration).
+    /// Mean L2 bus utilisation over the run, averaged across clusters (the
+    /// one shared bus of the paper's chip built by [`FullCmpSim::new`]).
     pub l2_utilization: f64,
     /// Mean inter-cluster interconnect utilisation over the run. Always
-    /// `0.0` for the flat (single shared L2) configuration, which has no
-    /// interconnect.
+    /// `0.0` for [`FullCmpSim::new`], whose interconnect is free.
     pub interconnect_utilization: f64,
 }
 
@@ -62,8 +61,8 @@ impl FullCmpOutcome {
 
 /// Per-core bookkeeping that lives *outside* the lane batch: identity,
 /// clocking, the correction-credit carry of the two-phase protocol, and the
-/// run accumulators. One `LaneAccounting` per core, in core order, split
-/// across the [`LaneGroup`]s.
+/// run accumulators. One `LaneAccounting` per core, in core order within
+/// its [`Cluster`].
 #[derive(Debug)]
 struct LaneAccounting {
     benchmark: Arc<str>,
@@ -124,16 +123,13 @@ impl LaneAccounting {
     }
 }
 
-/// A contiguous slice of the combo's cores advanced through one
-/// [`LaneBatch`] kernel call per quantum. Phase 1 hands each group to
-/// exactly one pool worker; within the group the kernel interleaves the
-/// lanes op-by-op, so a single worker still overlaps the cores'
-/// independent dependency chains. In the flat configuration phase 2 walks
-/// all groups' lanes on a single thread; in the clustered configuration
-/// each cluster owns exactly one group and replays it against its private
-/// L2 inside the parallel phase.
+/// One cluster of cores: a [`LaneBatch`] over the cluster's cores plus
+/// the cluster's private L2. Both phases of the two-phase protocol run on
+/// the cluster's pool worker — the interconnect is read-only during a
+/// quantum (its penalty is frozen in `icn_penalty_ns` at each window
+/// boundary), so nothing a cluster touches is shared.
 #[derive(Debug)]
-struct LaneGroup {
+struct Cluster {
     batch: LaneBatch,
     streams: Vec<WorkloadStream>,
     deferred: Vec<DeferredL2>,
@@ -142,15 +138,60 @@ struct LaneGroup {
     /// per-quantum stats), retained across quanta to avoid reallocation.
     targets: Vec<u64>,
     seg: Vec<IntervalStats>,
+    l2: SharedL2,
+    /// Per-miss interconnect penalty for the current window, broadcast
+    /// after the interconnect window closes.
+    icn_penalty_ns: f64,
+    /// Misses this cluster's replay produced in the last quantum — the
+    /// traffic fed into the interconnect accounting.
+    quantum_misses: u64,
 }
 
-impl LaneGroup {
-    /// Phase 1: step every lane of the group one quantum. Per lane: repay
-    /// any positive correction credit as stall cycles, then run the
-    /// remainder of the quantum against the recording L2 — all lanes
-    /// through one `step_lanes` call — and finally sort the request logs
-    /// so phase 2 can k-way merge.
-    fn step_quantum(&mut self, power: &PowerModel) {
+impl Cluster {
+    fn new(
+        core_config: &CoreConfig,
+        shared_config: SharedL2Config,
+        streams: Vec<WorkloadStream>,
+        acct: Vec<LaneAccounting>,
+    ) -> Result<Self> {
+        let freqs: Vec<Hertz> = acct.iter().map(|a| a.freq).collect();
+        let mut batch = LaneBatch::new(core_config, &freqs)?;
+        // Each core replays its own generator — no shared tape to stay
+        // close on — so round-robin interleaving buys nothing and only
+        // cycles N lanes' simulated state through the host cache. Run
+        // each lane straight through its quantum instead (chunk size
+        // never affects simulated results).
+        batch.set_chunk_ops(usize::MAX);
+        let lanes = acct.len();
+        Ok(Self {
+            batch,
+            streams,
+            deferred: (0..lanes)
+                .map(|_| DeferredL2::new(shared_config.l2_latency_ns))
+                .collect(),
+            acct,
+            targets: vec![0; lanes],
+            seg: vec![IntervalStats::default(); lanes],
+            l2: SharedL2::new(shared_config)?,
+            icn_penalty_ns: 0.0,
+            quantum_misses: 0,
+        })
+    }
+
+    /// Steps the cluster one quantum: phase 1, phase 2, then the L2
+    /// window close.
+    fn run_quantum(&mut self, power: &PowerModel, window_ns: f64) {
+        self.step_lanes(power);
+        self.replay();
+        self.l2.end_window(window_ns);
+    }
+
+    /// Phase 1: step every lane one quantum. Per lane: repay any positive
+    /// correction credit as stall cycles, then run the remainder of the
+    /// quantum against the recording L2 — all lanes through one
+    /// `step_lanes` call — and finally sort the request logs so phase 2
+    /// can k-way merge.
+    fn step_lanes(&mut self, power: &PowerModel) {
         let Self {
             batch,
             streams,
@@ -158,6 +199,7 @@ impl LaneGroup {
             acct,
             targets,
             seg,
+            ..
         } = self;
         for (lane, acct) in acct.iter_mut().enumerate() {
             let quantum_cycles = acct.cycles_per_quantum;
@@ -192,268 +234,109 @@ impl LaneGroup {
             deferred[lane].sort_log();
         }
     }
-}
 
-/// Phase 2: merge-replay all lanes' sorted request logs against the real
-/// shared L2 in global `(timestamp, core-id)` order. Returns the number of
-/// L2 misses the replay produced.
-///
-/// The deterministic tie-break — strictly-smaller timestamp wins, equal
-/// timestamps go to the lower core id — makes the replay order (and hence
-/// the shared tag-array state, queue accounting and per-core corrections)
-/// independent of how phase 1 was scheduled *and* of how the cores were
-/// grouped into lane batches. Each lane accumulates the actual latency of
-/// its requests (queueing delay, and memory latency when the shared array
-/// misses); [`LaneAccounting::bank_correction`] settles that against what
-/// phase 1 charged. Misses are credited back to the owning core's counters
-/// and additionally charged `miss_extra_ns` — the inter-cluster
-/// interconnect penalty in a clustered configuration, `0.0` (exact, by
-/// IEEE 754 identity) for the flat path. `lanes` must be in core order.
-fn replay_quantum(
-    lanes: &mut [(&mut DeferredL2, &mut LaneAccounting)],
-    shared: &mut SharedL2,
-    miss_extra_ns: f64,
-) -> u64 {
-    let mut misses = 0u64;
-    loop {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, (deferred, acct)) in lanes.iter().enumerate() {
-            if let Some(req) = deferred.log().get(acct.cursor) {
-                let earlier = best.is_none_or(|(_, t)| req.now_ns < t);
-                if earlier {
-                    best = Some((i, req.now_ns));
+    /// Phase 2: merge-replay the lanes' sorted request logs against the
+    /// cluster's L2 in `(timestamp, core-id)` order, counting the misses
+    /// into `quantum_misses`.
+    ///
+    /// The deterministic tie-break — strictly-smaller timestamp wins, equal
+    /// timestamps go to the lower core id — makes the replay order (and
+    /// hence the tag-array state, queue accounting and per-core
+    /// corrections) independent of how phase 1 was scheduled. Each lane
+    /// accumulates the actual latency of its requests (queueing delay, and
+    /// memory latency when the array misses, plus the frozen interconnect
+    /// penalty — `0.0`, exact by IEEE 754 identity, for a free
+    /// interconnect); [`LaneAccounting::bank_correction`] settles that
+    /// against what phase 1 charged.
+    fn replay(&mut self) {
+        let Self {
+            deferred,
+            acct,
+            l2,
+            icn_penalty_ns,
+            quantum_misses,
+            ..
+        } = self;
+        *quantum_misses = 0;
+        loop {
+            let mut best: Option<(usize, f64)> = None;
+            for (lane, (log, acct)) in deferred.iter().zip(acct.iter()).enumerate() {
+                if let Some(req) = log.log().get(acct.cursor) {
+                    if best.is_none_or(|(_, t)| req.now_ns < t) {
+                        best = Some((lane, req.now_ns));
+                    }
                 }
             }
+            let Some((lane, _)) = best else { break };
+            let acct = &mut acct[lane];
+            let req = deferred[lane].log()[acct.cursor];
+            acct.cursor += 1;
+            let (mut actual_ns, hit) = l2.replay_access(req.addr);
+            if !hit {
+                actual_ns += *icn_penalty_ns;
+                *quantum_misses += 1;
+                acct.total.l2_misses += 1;
+            }
+            acct.actual_ns += actual_ns;
         }
-        let Some((i, _)) = best else { break };
-        let (deferred, acct) = &mut lanes[i];
-        let req = deferred.log()[acct.cursor];
-        acct.cursor += 1;
-        let (mut actual_ns, hit) = shared.replay_access(req.addr);
-        if !hit {
-            actual_ns += miss_extra_ns;
-            misses += 1;
-            acct.total.l2_misses += 1;
+        for (acct, deferred) in acct.iter_mut().zip(deferred.iter_mut()) {
+            acct.bank_correction(deferred);
         }
-        acct.actual_ns += actual_ns;
     }
-    for (deferred, acct) in lanes {
-        acct.bank_correction(deferred);
-    }
-    misses
-}
-
-/// One cluster of the sharded drive: a [`LaneGroup`] over the cluster's
-/// cores plus the cluster's private L2. Both phases of the two-phase
-/// protocol run inside the parallel round callback — the interconnect is
-/// read-only during a quantum (its penalty is frozen in `icn_penalty_ns`
-/// at each window boundary), so nothing a cluster touches is shared.
-#[derive(Debug)]
-struct ClusterLanes {
-    group: LaneGroup,
-    l2: SharedL2,
-    /// Per-miss interconnect penalty for the current window, broadcast by
-    /// the serial phase after it closes the interconnect window.
-    icn_penalty_ns: f64,
-    /// Misses this cluster's replay produced in the last quantum — the
-    /// traffic the serial phase feeds into the interconnect accounting.
-    quantum_misses: u64,
-}
-
-impl ClusterLanes {
-    /// Steps the cluster one quantum: phase-1 lane stepping, then the
-    /// per-cluster phase-2 replay against the private L2, then the L2
-    /// window close. All of it runs on this cluster's pool worker.
-    fn run_quantum(&mut self, power: &PowerModel, window_ns: f64) {
-        self.group.step_quantum(power);
-        let mut lanes: Vec<(&mut DeferredL2, &mut LaneAccounting)> = self
-            .group
-            .deferred
-            .iter_mut()
-            .zip(self.group.acct.iter_mut())
-            .collect();
-        self.quantum_misses = replay_quantum(&mut lanes, &mut self.l2, self.icn_penalty_ns);
-        self.l2.end_window(window_ns);
-    }
-}
-
-/// Per-core construction state shared by the flat and clustered builders.
-struct CoreSetup {
-    streams: Vec<WorkloadStream>,
-    freqs: Vec<Hertz>,
-    accts: Vec<LaneAccounting>,
-    shared_config: SharedL2Config,
-}
-
-/// Builds the streams, clocks and accounting rows for every core.
-/// `miss_extra_max_ns` widens the charge predictor's upper bound by the
-/// worst interconnect penalty a miss can pay; the flat path passes `0.0`,
-/// keeping its bound bit-identical to the pre-cluster arithmetic.
-fn build_cores(
-    combo: &WorkloadCombo,
-    modes: &ModeCombination,
-    core_config: &CoreConfig,
-    dvfs: &DvfsParams,
-    miss_extra_max_ns: f64,
-) -> Result<CoreSetup> {
-    if modes.len() != combo.cores() {
-        return Err(GpmError::CoreCountMismatch {
-            expected: combo.cores(),
-            actual: modes.len(),
-        });
-    }
-    core_config.validate()?;
-    let shared_config = SharedL2Config {
-        cache: core_config.l2,
-        l2_latency_ns: core_config.memory.l2_latency_ns,
-        memory_latency_ns: core_config.memory.memory_latency_ns,
-        ..SharedL2Config::default()
-    };
-    let cores = combo.cores();
-    let mut streams = Vec::with_capacity(cores);
-    let mut freqs = Vec::with_capacity(cores);
-    let mut accts = Vec::with_capacity(cores);
-    for (i, &bench) in combo.benchmarks().iter().enumerate() {
-        let mode = modes.mode(gpm_types::CoreId::new(i));
-        let freq = dvfs.frequency(mode);
-        // Distinct address bases and seed salts: four mcf instances
-        // must not literally share data.
-        streams.push(
-            bench
-                .profile()
-                .stream_with(i as u64 * CORE_ADDR_STRIDE, i as u64)?,
-        );
-        freqs.push(freq);
-        accts.push(LaneAccounting {
-            benchmark: Arc::from(bench.name()),
-            mode,
-            freq,
-            cycles_per_quantum: 0,
-            pending_ns: 0.0,
-            charge_min_ns: shared_config.l2_latency_ns,
-            // Hit latency + memory latency + the M/D/1 wait at the
-            // utilisation cap (+ the worst interconnect crossing, when
-            // clustered): the worst latency a replay can report.
-            charge_max_ns: shared_config.l2_latency_ns
-                + shared_config.memory_latency_ns
-                + shared_config.service_ns * 0.98 / (2.0 * (1.0 - 0.98))
-                + miss_extra_max_ns,
-            actual_ns: 0.0,
-            cursor: 0,
-            total: IntervalStats::default(),
-            energy_j: 0.0,
-        });
-    }
-    Ok(CoreSetup {
-        streams,
-        freqs,
-        accts,
-        shared_config,
-    })
-}
-
-/// Builds one lane group over a contiguous run of cores.
-fn build_group(
-    core_config: &CoreConfig,
-    shared_config: &SharedL2Config,
-    streams: Vec<WorkloadStream>,
-    accts: Vec<LaneAccounting>,
-    freqs: &[Hertz],
-) -> Result<LaneGroup> {
-    let len = freqs.len();
-    let mut batch = LaneBatch::new(core_config, freqs)?;
-    // Each core replays its own generator — no shared tape to stay
-    // close on — so round-robin interleaving buys nothing and only
-    // cycles N lanes' simulated state through the host cache. Run
-    // each lane straight through its quantum instead (chunk size
-    // never affects simulated results).
-    batch.set_chunk_ops(usize::MAX);
-    Ok(LaneGroup {
-        batch,
-        streams,
-        deferred: (0..len)
-            .map(|_| DeferredL2::new(shared_config.l2_latency_ns))
-            .collect(),
-        acct: accts,
-        targets: vec![0; len],
-        seg: vec![IntervalStats::default(); len],
-    })
-}
-
-/// The two drive shapes of the simulator: the flat single-shared-L2
-/// protocol (serial global replay) and the cluster-sharded protocol
-/// (parallel per-cluster replays, serialised interconnect merge).
-#[derive(Debug)]
-enum Drive {
-    Flat {
-        groups: Vec<LaneGroup>,
-        shared: SharedL2,
-    },
-    Sharded {
-        clusters: Vec<ClusterLanes>,
-        interconnect: Interconnect,
-    },
 }
 
 /// A time-quantum-synchronised multi-core simulation over the real
-/// `gpm-microarch` core models and one or more [`SharedL2`]s.
+/// `gpm-microarch` core models, with the chip's cores grouped into
+/// clusters that each share a private [`SharedL2`] and reach memory across
+/// a global [`Interconnect`] ([`ClusterTopology`]). The paper's chip —
+/// every core on one shared L2 — is the one-cluster case with a free
+/// interconnect, built by [`FullCmpSim::new`].
 ///
 /// Cores advance in short wall-clock quanta (5 µs by default) under a
-/// two-phase protocol. **Phase 1** steps every core for one quantum: the
-/// cores are partitioned into contiguous [`LaneGroup`]s — one per worker
-/// the `gpm_par` pool can supply — and each group advances all its lanes
-/// through a single [`LaneBatch::step_lanes`] kernel call, so parallelism
-/// comes from the pool *across* groups and from op-interleaved lane
-/// batching *within* a group (a single-threaded host still overlaps the
-/// cores' independent dependency chains). L1 hits resolve locally, and
-/// every would-be L2 request is recorded into the core's [`DeferredL2`]
-/// log at the lane's *predicted* per-access latency — the array-hit
-/// latency initially, then the previous quantum's observed mean, so
-/// dependent-load serialisation and ROB latency overlap play out in the
-/// recording timeline itself. **Phase 2** merge-replays the logs against
-/// the real [`SharedL2`] in `(timestamp, core-id)` order; the signed
-/// difference between what the requests actually cost — bus queueing
-/// delay, memory latency on a shared-array miss — and what phase 1 charged
-/// is banked as a correction credit, repaid as stall cycles at the start
-/// of that core's next quantum (or offset against future debt when
-/// negative). Per-core DVFS is supported by clocking each lane at its
-/// mode's frequency — the quantum is measured in wall time, so cores stay
-/// aligned across clock domains.
-///
-/// Two drive shapes exist:
-///
-/// * **Flat** ([`FullCmpSim::new`]) — one chip-wide shared L2; phase 2 is
-///   a single serial global merge. This is the paper's configuration.
-/// * **Cluster-sharded** ([`FullCmpSim::with_topology`]) — K clusters of
-///   cores, each with a private L2 ([`ClusterTopology`]); misses
-///   additionally cross the global [`Interconnect`]. Each cluster maps
-///   onto one pool worker and runs *both* phases inside the parallel
-///   round; the interconnect's per-miss penalty is frozen per window, so
-///   the only serialised work is summing the clusters' miss counts and
-///   closing the interconnect window. With one cluster and a zero-cost
-///   interconnect this is bit-identical to the flat drive.
+/// two-phase protocol, and each cluster maps onto one `gpm_par` pool
+/// worker that runs both phases for it. **Phase 1** steps all of the
+/// cluster's cores through a single [`LaneBatch::step_lanes`] kernel
+/// call, which interleaves the lanes' independent dependency chains. L1
+/// hits resolve locally, and every would-be L2 request is recorded into
+/// the core's [`DeferredL2`] log at the lane's *predicted* per-access
+/// latency — the array-hit latency initially, then the previous quantum's
+/// observed mean, so dependent-load serialisation and ROB latency overlap
+/// play out in the recording timeline itself. **Phase 2** merge-replays
+/// the cluster's logs against its L2 in `(timestamp, core-id)` order;
+/// misses additionally pay the interconnect penalty frozen at the last
+/// window boundary. The signed difference between what the requests
+/// actually cost — bus queueing delay, memory latency on a miss, the
+/// crossing — and what phase 1 charged is banked as a correction credit,
+/// repaid as stall cycles at the start of that core's next quantum (or
+/// offset against future debt when negative). After each round the only
+/// serialised work is summing the clusters' miss counts into the
+/// interconnect and closing its window. Per-core DVFS is supported by
+/// clocking each lane at its mode's frequency — the quantum is measured
+/// in wall time, so cores stay aligned across clock domains.
 ///
 /// Results are bit-identical for every `GPM_THREADS` value (including the
-/// pool-free serial path) and for every grouping: lanes share no mutable
-/// state, the lane kernel steps each lane through the exact scalar
-/// scoreboard logic, phase 2's replay order is fully determined by the
-/// logs, and the interconnect merge sums unsigned counters. The golden
-/// hashes in `tests/cmp_equivalence.rs` and `tests/hier_equivalence.rs`
-/// pin this.
+/// pool-free serial path): clusters share no mutable state during a
+/// round, the lane kernel steps each lane through the exact scalar
+/// scoreboard logic, the replay order is fully determined by the logs,
+/// and the interconnect merge sums unsigned counters. The golden hashes
+/// in `tests/cmp_equivalence.rs` and `tests/hier_equivalence.rs` pin
+/// this.
 ///
 /// This is the validation counterpart of
 /// [`TraceCmpSim`](crate::TraceCmpSim), mirroring the paper's full-CMP
 /// Turandot implementation "with time-driven L2 and thread synchronisation".
 #[derive(Debug)]
 pub struct FullCmpSim {
-    drive: Drive,
+    clusters: Vec<Cluster>,
+    interconnect: Interconnect,
     power: PowerModel,
     quantum: Micros,
 }
 
 impl FullCmpSim {
-    /// Builds a flat (single shared L2) full-CMP simulation of `combo`
-    /// with fixed per-core `modes`.
+    /// Builds the paper's chip: every core of `combo` on one shared L2,
+    /// with fixed per-core `modes` — the one-cluster topology with
+    /// [`InterconnectConfig::zero`].
     ///
     /// # Errors
     ///
@@ -466,55 +349,22 @@ impl FullCmpSim {
         power: PowerModel,
         dvfs: DvfsParams,
     ) -> Result<Self> {
-        let CoreSetup {
-            mut streams,
-            freqs,
-            mut accts,
-            shared_config,
-        } = build_cores(combo, modes, core_config, &dvfs, 0.0)?;
-        let cores = freqs.len();
-
-        // One group per worker the pool can supply, contiguous and
-        // near-equal: with a full pool each group is a single lane (pure
-        // thread parallelism, as before); with fewer workers than cores the
-        // kernel's op interleaving recovers the lost overlap. Grouping
-        // affects scheduling only, never the simulated bytes.
-        let group_count = gpm_par::max_threads().min(cores).max(1);
-        let base = cores / group_count;
-        let extra = cores % group_count;
-        let mut groups = Vec::with_capacity(group_count);
-        let mut next = 0usize;
-        for g in 0..group_count {
-            let len = base + usize::from(g < extra);
-            groups.push(build_group(
-                core_config,
-                &shared_config,
-                streams.drain(..len).collect(),
-                accts.drain(..len).collect(),
-                &freqs[next..next + len],
-            )?);
-            next += len;
-        }
-
-        Ok(Self {
-            drive: Drive::Flat {
-                groups,
-                shared: SharedL2::new(shared_config)?,
-            },
+        Self::with_topology(
+            combo,
+            modes,
+            core_config,
             power,
-            quantum: Micros::new(5.0),
-        })
+            dvfs,
+            ClusterTopology::flat(combo.cores())?,
+            InterconnectConfig::zero(),
+        )
     }
 
-    /// Builds a cluster-sharded full-CMP simulation: `topology` partitions
-    /// the combo's cores into clusters, each with a private L2 of the
+    /// Builds a clustered full-CMP simulation: `topology` partitions the
+    /// combo's cores into clusters, each with a private L2 of the
     /// configured geometry, joined by an [`Interconnect`] with
-    /// `interconnect` timing. One [`LaneGroup`] per cluster maps onto the
-    /// `gpm_par` pool.
-    ///
-    /// A single-cluster topology with [`InterconnectConfig::zero`] is
-    /// bit-identical to [`FullCmpSim::new`] — useful for pinning the
-    /// sharded drive against the flat golden hashes.
+    /// `interconnect` timing. Each cluster maps onto one `gpm_par` pool
+    /// worker.
     ///
     /// # Errors
     ///
@@ -530,48 +380,70 @@ impl FullCmpSim {
         topology: ClusterTopology,
         interconnect: InterconnectConfig,
     ) -> Result<Self> {
-        if topology.cores() != combo.cores() {
-            return Err(GpmError::CoreCountMismatch {
-                expected: combo.cores(),
-                actual: topology.cores(),
-            });
+        for actual in [topology.cores(), modes.len()] {
+            if actual != combo.cores() {
+                return Err(GpmError::CoreCountMismatch {
+                    expected: combo.cores(),
+                    actual,
+                });
+            }
         }
-        // Worst-case crossing: hop latency + the M/D/1 wait at the
-        // utilisation cap. Zero for a zero-cost interconnect, keeping the
-        // charge bound bit-identical to the flat path's.
-        let miss_extra_max_ns =
-            interconnect.hop_latency_ns + interconnect.service_ns * 0.98 / (2.0 * (1.0 - 0.98));
-        let CoreSetup {
-            mut streams,
-            freqs,
-            mut accts,
-            shared_config,
-        } = build_cores(combo, modes, core_config, &dvfs, miss_extra_max_ns)?;
-
+        core_config.validate()?;
+        let shared_config = SharedL2Config {
+            cache: core_config.l2,
+            l2_latency_ns: core_config.memory.l2_latency_ns,
+            memory_latency_ns: core_config.memory.memory_latency_ns,
+            ..SharedL2Config::default()
+        };
+        // The worst latency a replay can report: hit latency + memory
+        // latency + the M/D/1 wait at the utilisation cap, on the cluster
+        // bus and on the interconnect (whose terms are zero when it is
+        // free), plus the hop.
+        let md1_cap_wait = |service_ns: f64| service_ns * 0.98 / (2.0 * (1.0 - 0.98));
+        let charge_max_ns = shared_config.l2_latency_ns
+            + shared_config.memory_latency_ns
+            + md1_cap_wait(shared_config.service_ns)
+            + (interconnect.hop_latency_ns + md1_cap_wait(interconnect.service_ns));
         let interconnect = Interconnect::new(interconnect)?;
-        let per = topology.cores_per_cluster();
-        let mut clusters = Vec::with_capacity(topology.clusters());
-        for k in 0..topology.clusters() {
-            let range = topology.core_range(k);
-            clusters.push(ClusterLanes {
-                group: build_group(
-                    core_config,
-                    &shared_config,
-                    streams.drain(..per).collect(),
-                    accts.drain(..per).collect(),
-                    &freqs[range],
-                )?,
-                l2: SharedL2::new(shared_config)?,
-                icn_penalty_ns: interconnect.penalty_ns(),
-                quantum_misses: 0,
-            });
-        }
+
+        let lane = |i: usize| -> Result<(WorkloadStream, LaneAccounting)> {
+            let bench = combo.benchmarks()[i];
+            let mode = modes.mode(gpm_types::CoreId::new(i));
+            // Distinct address bases and seed salts: four mcf instances
+            // must not literally share data.
+            let stream = bench
+                .profile()
+                .stream_with(i as u64 * CORE_ADDR_STRIDE, i as u64)?;
+            let acct = LaneAccounting {
+                benchmark: Arc::from(bench.name()),
+                mode,
+                freq: dvfs.frequency(mode),
+                cycles_per_quantum: 0,
+                pending_ns: 0.0,
+                charge_min_ns: shared_config.l2_latency_ns,
+                charge_max_ns,
+                actual_ns: 0.0,
+                cursor: 0,
+                total: IntervalStats::default(),
+                energy_j: 0.0,
+            };
+            Ok((stream, acct))
+        };
+        let clusters = (0..topology.clusters())
+            .map(|k| {
+                let (streams, acct) = topology
+                    .core_range(k)
+                    .map(lane)
+                    .collect::<Result<Vec<_>>>()?
+                    .into_iter()
+                    .unzip();
+                Cluster::new(core_config, shared_config, streams, acct)
+            })
+            .collect::<Result<_>>()?;
 
         Ok(Self {
-            drive: Drive::Sharded {
-                clusters,
-                interconnect,
-            },
+            clusters,
+            interconnect,
             power,
             quantum: Micros::new(5.0),
         })
@@ -599,132 +471,61 @@ impl FullCmpSim {
     /// Runs all cores for `duration` of wall time and reports per-core
     /// averages.
     ///
-    /// Phase 1 of each quantum fans out over the `gpm_par` pool
-    /// (`GPM_THREADS` workers, persistent across quanta); in the flat
-    /// drive phase 2 replays the merged request logs serially, while the
-    /// cluster-sharded drive replays per cluster inside the parallel phase
-    /// and serialises only the interconnect merge. The outcome is
+    /// Each quantum fans the clusters out over the `gpm_par` pool
+    /// (`GPM_THREADS` workers, persistent across quanta) and then merges
+    /// their miss counts into the interconnect serially. The outcome is
     /// bit-identical for any thread count.
     pub fn run(&mut self, duration: Micros) -> FullCmpOutcome {
         let quanta = (duration.value() / self.quantum.value()).ceil() as usize;
         let window_ns = self.quantum.value() * 1.0e3;
+        let quantum = self.quantum;
         let power = &self.power;
-        match &mut self.drive {
-            Drive::Flat { groups, shared } => {
-                for acct in groups.iter_mut().flat_map(|g| g.acct.iter_mut()) {
-                    acct.cycles_per_quantum = acct.freq.cycles_in(self.quantum).value();
-                    acct.total = IntervalStats::default();
-                    acct.energy_j = 0.0;
-                }
-
-                if quanta > 0 {
-                    let mut round = 0usize;
-                    gpm_par::run_rounds(
-                        groups,
-                        |_, group| group.step_quantum(power),
-                        |view| {
-                            view.with_all(|groups| {
-                                // Contiguous groups flattened in order = core order,
-                                // which the replay tie-break depends on.
-                                let mut lanes: Vec<(&mut DeferredL2, &mut LaneAccounting)> = groups
-                                    .iter_mut()
-                                    .flat_map(|g| g.deferred.iter_mut().zip(g.acct.iter_mut()))
-                                    .collect();
-                                replay_quantum(&mut lanes, shared, 0.0);
-                            });
-                            shared.end_window(window_ns);
-                            round += 1;
-                            round < quanta
-                        },
-                    );
-                }
-
-                FullCmpOutcome {
-                    per_core: groups
-                        .iter()
-                        .flat_map(|g| g.acct.iter().map(LaneAccounting::outcome))
-                        .collect(),
-                    duration,
-                    l2_utilization: shared.average_utilization(),
-                    interconnect_utilization: 0.0,
-                }
+        let interconnect = &mut self.interconnect;
+        let clusters = &mut self.clusters;
+        for cluster in clusters.iter_mut() {
+            for acct in &mut cluster.acct {
+                acct.cycles_per_quantum = acct.freq.cycles_in(quantum).value();
+                acct.total = IntervalStats::default();
+                acct.energy_j = 0.0;
             }
-            Drive::Sharded {
+            cluster.icn_penalty_ns = interconnect.penalty_ns();
+        }
+
+        if quanta > 0 {
+            let mut round = 0usize;
+            gpm_par::run_rounds(
                 clusters,
-                interconnect,
-            } => {
-                for cluster in clusters.iter_mut() {
-                    for acct in cluster.group.acct.iter_mut() {
-                        acct.cycles_per_quantum = acct.freq.cycles_in(self.quantum).value();
-                        acct.total = IntervalStats::default();
-                        acct.energy_j = 0.0;
-                    }
-                    cluster.icn_penalty_ns = interconnect.penalty_ns();
-                    cluster.quantum_misses = 0;
-                }
-
-                if quanta > 0 {
-                    let mut round = 0usize;
-                    gpm_par::run_rounds(
-                        clusters,
-                        |_, cluster| cluster.run_quantum(power, window_ns),
-                        |view| {
-                            view.with_all(|clusters| {
-                                // The only cross-cluster state: summed miss
-                                // traffic (order-independent) and the next
-                                // window's frozen penalty.
-                                let mut misses = 0u64;
-                                for c in clusters.iter() {
-                                    misses += c.quantum_misses;
-                                }
-                                interconnect.note_traffic(misses);
-                                interconnect.end_window(window_ns);
-                                let penalty = interconnect.penalty_ns();
-                                for c in clusters.iter_mut() {
-                                    c.icn_penalty_ns = penalty;
-                                }
-                            });
-                            round += 1;
-                            round < quanta
-                        },
-                    );
-                }
-
-                let cluster_count = clusters.len();
-                FullCmpOutcome {
-                    per_core: clusters
-                        .iter()
-                        .flat_map(|c| c.group.acct.iter().map(LaneAccounting::outcome))
-                        .collect(),
-                    duration,
-                    l2_utilization: clusters
-                        .iter()
-                        .map(|c| c.l2.average_utilization())
-                        .sum::<f64>()
-                        / cluster_count as f64,
-                    interconnect_utilization: interconnect.average_utilization(),
-                }
-            }
+                |_, cluster| cluster.run_quantum(power, window_ns),
+                |view| {
+                    view.with_all(|clusters| {
+                        // The only cross-cluster state: summed miss traffic
+                        // (order-independent) and the next window's frozen
+                        // penalty.
+                        interconnect.note_traffic(clusters.iter().map(|c| c.quantum_misses).sum());
+                        interconnect.end_window(window_ns);
+                        let penalty = interconnect.penalty_ns();
+                        for c in clusters.iter_mut() {
+                            c.icn_penalty_ns = penalty;
+                        }
+                    });
+                    round += 1;
+                    round < quanta
+                },
+            );
         }
-    }
 
-    /// The shared L2 of the flat drive (for diagnostics). `None` for a
-    /// cluster-sharded simulation, which has one private L2 per cluster.
-    #[must_use]
-    pub fn shared_l2(&self) -> Option<&SharedL2> {
-        match &self.drive {
-            Drive::Flat { shared, .. } => Some(shared),
-            Drive::Sharded { .. } => None,
-        }
-    }
-
-    /// The inter-cluster interconnect of the sharded drive (for
-    /// diagnostics). `None` for the flat drive.
-    #[must_use]
-    pub fn interconnect(&self) -> Option<&Interconnect> {
-        match &self.drive {
-            Drive::Flat { .. } => None,
-            Drive::Sharded { interconnect, .. } => Some(interconnect),
+        FullCmpOutcome {
+            per_core: clusters
+                .iter()
+                .flat_map(|c| c.acct.iter().map(LaneAccounting::outcome))
+                .collect(),
+            duration,
+            l2_utilization: clusters
+                .iter()
+                .map(|c| c.l2.average_utilization())
+                .sum::<f64>()
+                / clusters.len() as f64,
+            interconnect_utilization: interconnect.average_utilization(),
         }
     }
 }
@@ -743,7 +544,7 @@ mod tests {
             PowerModel::power4_calibrated(),
             DvfsParams::paper(),
         )
-        .expect("flat sim builds for a valid combo");
+        .expect("sim builds for a valid combo");
         sim.run(Micros::from_millis(ms))
     }
 
@@ -773,7 +574,10 @@ mod tests {
         assert!(out.per_core.iter().all(|c| c.instructions > 10_000));
         assert!(out.chip_power().value() > 10.0);
         assert!(out.chip_bips().value() > 0.5);
-        assert_eq!(out.interconnect_utilization, 0.0, "flat has no fabric");
+        assert_eq!(
+            out.interconnect_utilization, 0.0,
+            "a free fabric carries no load"
+        );
     }
 
     #[test]
@@ -839,7 +643,7 @@ mod tests {
             PowerModel::power4_calibrated(),
             DvfsParams::paper(),
         )
-        .expect("flat sim builds for mixed modes");
+        .expect("sim builds for mixed modes");
         let out = sim.run(Micros::from_millis(0.5));
         assert_eq!(out.per_core[1].mode, PowerMode::Eff2);
         // The Eff2 core burns markedly less power per unit activity.
@@ -870,18 +674,6 @@ mod tests {
             InterconnectConfig::zero(),
         );
         assert!(matches!(err, Err(GpmError::CoreCountMismatch { .. })));
-    }
-
-    #[test]
-    fn sharded_single_cluster_zero_interconnect_matches_flat() {
-        // The full golden-hash bit-identity lives in
-        // tests/hier_equivalence.rs; this is the cheap in-crate check that
-        // the degenerate sharded drive is *exactly* the flat drive.
-        let combo = combos::gcc_mesa();
-        let flat = run_combo(&combo, 0.25);
-        let mut sharded = sharded_sim(&combo, combo.cores(), InterconnectConfig::zero());
-        let out = sharded.run(Micros::from_millis(0.25));
-        assert_eq!(out, flat, "K=1 + zero interconnect must be bit-identical");
     }
 
     #[test]
@@ -950,7 +742,7 @@ mod tests {
             PowerModel::power4_calibrated(),
             DvfsParams::paper(),
         )
-        .expect("flat sim builds for a valid combo");
+        .expect("sim builds for a valid combo");
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(
                 matches!(
@@ -980,7 +772,7 @@ mod tests {
             PowerModel::power4_calibrated(),
             DvfsParams::paper(),
         )
-        .expect("flat sim builds for a valid combo");
+        .expect("sim builds for a valid combo");
         let first = sim.run(Micros::from_millis(0.25));
         let second = sim.run(Micros::from_millis(0.25));
         for (a, b) in first.per_core.iter().zip(&second.per_core) {
@@ -992,24 +784,5 @@ mod tests {
             );
             assert!(b.instructions > 10_000);
         }
-    }
-
-    #[test]
-    fn diagnostics_match_drive_shape() {
-        let combo = combos::gcc_mesa();
-        let modes = ModeCombination::uniform(2, PowerMode::Turbo);
-        let flat = FullCmpSim::new(
-            &combo,
-            &modes,
-            &CoreConfig::power4(),
-            PowerModel::power4_calibrated(),
-            DvfsParams::paper(),
-        )
-        .expect("flat sim builds");
-        assert!(flat.shared_l2().is_some());
-        assert!(flat.interconnect().is_none());
-        let sharded = sharded_sim(&combo, 1, InterconnectConfig::default());
-        assert!(sharded.shared_l2().is_none());
-        assert!(sharded.interconnect().is_some());
     }
 }

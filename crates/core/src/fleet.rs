@@ -366,7 +366,7 @@ struct RackState {
     backoff: u64,
 }
 
-/// Hashes `u64` node ids with one splitmix64 finalizer round. The node
+/// Hashes `u64` node ids with one [`gpm_types::splitmix64`] round. The node
 /// map is only ever *probed* by key — iteration never reaches decisions
 /// (the checkpoint sorts by node id) — so a fast deterministic finalizer
 /// is safe, and it removes the default hasher's cost from the
@@ -391,10 +391,7 @@ impl std::hash::Hasher for NodeIdHasher {
     }
 
     fn write_u64(&mut self, x: u64) {
-        let mut z = (self.0 ^ x).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
+        self.0 = gpm_types::splitmix64(self.0 ^ x);
     }
 }
 

@@ -16,10 +16,11 @@
 //! session from the plan alone and observes the exact same fault
 //! schedule.
 
-use gpm_types::{GpmError, Result};
+use gpm_types::{splitmix64, GpmError, Result};
 use serde::{Deserialize, Serialize};
 
 use crate::plan::IntervalWindow;
+use crate::spec::parse_clauses;
 
 /// Default seed for fleet fault draws (distinct from the chip-plan seed
 /// so co-seeded chip and fleet plans decorrelate).
@@ -204,73 +205,13 @@ impl FleetFaultPlan {
     /// Returns [`GpmError::FaultSpec`] on malformed input.
     pub fn parse(spec: &str) -> Result<Self> {
         let bad = |msg: String| GpmError::FaultSpec(msg);
-        let mut clauses = Vec::new();
-        for raw in spec.split(';') {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let (head, args) = match raw.split_once(':') {
-                Some((h, a)) => (h.trim(), Some(a)),
-                None => (raw, None),
-            };
-            let (kind_name, nodes) = match head.split_once('@') {
-                Some((k, n)) => (k.trim(), parse_nodes(n.trim())?),
-                None => (head, NodeSet::All),
-            };
-
-            let mut window = IntervalWindow::ALWAYS;
-            let mut period = None;
-            let mut down = None;
-            let mut ticks = None;
-            let mut field = None;
-            let mut rate = None;
-            for kv in args.into_iter().flat_map(|a| a.split(',')) {
-                let kv = kv.trim();
-                if kv.is_empty() {
-                    continue;
-                }
-                let (key, value) = kv
-                    .split_once('=')
-                    .ok_or_else(|| bad(format!("`{kv}` is not key=value")))?;
-                let value = value.trim();
-                match key.trim() {
-                    "from" => window.from = parse_num(value, "from")?,
-                    "to" => window.to = Some(parse_num(value, "to")?),
-                    "period" => period = Some(parse_u64(value, "period")?),
-                    "down" => down = Some(parse_u64(value, "down")?),
-                    "ticks" => ticks = Some(parse_u64(value, "ticks")?),
-                    "field" => {
-                        field = Some(match value {
-                            "nan" => CorruptField::Nan,
-                            "neg" => CorruptField::Negative,
-                            "shape" => CorruptField::Shape,
-                            other => {
-                                return Err(bad(format!(
-                                    "unknown corrupt field `{other}` (nan|neg|shape)"
-                                )))
-                            }
-                        });
-                    }
-                    "rate" => rate = Some(parse_float(value, "rate")?),
-                    other => return Err(bad(format!("unknown key `{other}` in `{raw}`"))),
-                }
-            }
-            if let Some(to) = window.to {
-                if to <= window.from {
-                    return Err(bad(format!(
-                        "empty window [{}, {to}) in `{raw}`",
-                        window.from
-                    )));
-                }
-            }
-            let rate_in_range = |r: f64| r > 0.0 && r <= 1.0;
-
-            let kind = match kind_name {
+        let rate_in_range = |r: f64| r > 0.0 && r <= 1.0;
+        let clauses = parse_clauses(spec, "fleet fault spec", |c| {
+            let kind = match c.kind {
                 "flap" => {
-                    let period =
-                        period.ok_or_else(|| bad(format!("flap needs period= in `{raw}`")))?;
-                    let down = down.unwrap_or(1);
+                    let period = c.int("period")?;
+                    let period = c.needs(period, "period")?;
+                    let down = c.int("down")?.unwrap_or(1);
                     if period == 0 {
                         return Err(bad("flap period must be >= 1".into()));
                     }
@@ -282,24 +223,31 @@ impl FleetFaultPlan {
                     FleetFaultKind::NodeFlap { period, down }
                 }
                 "skew" => {
-                    let ticks = ticks.unwrap_or(1);
+                    let ticks = c.int("ticks")?.unwrap_or(1);
                     if ticks == 0 {
                         return Err(bad("skew ticks must be >= 1".into()));
                     }
                     FleetFaultKind::TickSkew { ticks }
                 }
                 "corrupt" => {
-                    let rate = rate.unwrap_or(1.0);
+                    let field = match c.take("field") {
+                        None | Some("nan") => CorruptField::Nan,
+                        Some("neg") => CorruptField::Negative,
+                        Some("shape") => CorruptField::Shape,
+                        Some(other) => {
+                            return Err(bad(format!(
+                                "unknown corrupt field `{other}` (nan|neg|shape)"
+                            )))
+                        }
+                    };
+                    let rate = c.float("rate")?.unwrap_or(1.0);
                     if !rate_in_range(rate) {
                         return Err(bad(format!("corrupt rate {rate} outside (0, 1]")));
                     }
-                    FleetFaultKind::CorruptReport {
-                        field: field.unwrap_or(CorruptField::Nan),
-                        rate,
-                    }
+                    FleetFaultKind::CorruptReport { field, rate }
                 }
                 "timeout" => {
-                    let rate = rate.unwrap_or(1.0);
+                    let rate = c.float("rate")?.unwrap_or(1.0);
                     if !rate_in_range(rate) {
                         return Err(bad(format!("timeout rate {rate} outside (0, 1]")));
                     }
@@ -307,15 +255,12 @@ impl FleetFaultPlan {
                 }
                 other => return Err(bad(format!("unknown fleet fault kind `{other}`"))),
             };
-            clauses.push(FleetFaultClause {
+            Ok(FleetFaultClause {
                 kind,
-                nodes,
-                window,
-            });
-        }
-        if clauses.is_empty() {
-            return Err(bad("fleet fault spec contains no clauses".into()));
-        }
+                nodes: c.targets("node id")?.map_or(NodeSet::All, NodeSet::Nodes),
+                window: c.window,
+            })
+        })?;
         Ok(Self {
             clauses,
             seed: FLEET_DEFAULT_SEED,
@@ -340,36 +285,6 @@ impl FleetFaultPlan {
         }
         Ok(())
     }
-}
-
-fn parse_nodes(s: &str) -> Result<NodeSet> {
-    if s.eq_ignore_ascii_case("all") {
-        return Ok(NodeSet::All);
-    }
-    let list = s
-        .split('+')
-        .map(|p| {
-            p.trim()
-                .parse::<u64>()
-                .map_err(|_| GpmError::FaultSpec(format!("bad node id `{p}`")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(NodeSet::Nodes(list))
-}
-
-fn parse_num(s: &str, key: &str) -> Result<usize> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad integer for {key}: `{s}`")))
-}
-
-fn parse_u64(s: &str, key: &str) -> Result<u64> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad integer for {key}: `{s}`")))
-}
-
-fn parse_float(s: &str, key: &str) -> Result<f64> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad number for {key}: `{s}`")))
 }
 
 /// Stateless fault oracle for one fleet run.
@@ -534,15 +449,6 @@ fn in_window(window: &IntervalWindow, tick: u64) -> bool {
     window.contains(t)
 }
 
-/// SplitMix64 finalizer: the standard avalanche mix.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,6 +523,10 @@ mod tests {
             "flap:period=2,from=5,to=5", // empty window
             "flap:period=2,weird=1",     // unknown key
             "flap:period",               // not key=value
+            "corrupt:period=3",          // key corrupt does not read
+            "timeout:field=nan",         // key timeout does not read
+            "skew:rate=0.5",             // key skew does not read
+            "flap:period=2,ticks=1",     // key flap does not read
         ] {
             let err = FleetFaultPlan::parse(bad).unwrap_err();
             assert!(

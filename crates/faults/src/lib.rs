@@ -48,6 +48,7 @@
 mod fleet;
 mod plan;
 mod session;
+mod spec;
 
 pub use fleet::{
     CorruptField, FleetFaultClause, FleetFaultKind, FleetFaultPlan, FleetFaultSession, NodeSet,

@@ -3,6 +3,8 @@
 use gpm_types::{GpmError, Result};
 use serde::{Deserialize, Serialize};
 
+use crate::spec::parse_clauses;
+
 /// Default seed for the deterministic fault RNG (noise draws).
 pub const DEFAULT_SEED: u64 = 0xfa_017;
 
@@ -196,87 +198,39 @@ impl FaultPlan {
     /// Returns [`GpmError::FaultSpec`] on malformed input.
     pub fn parse(spec: &str) -> Result<Self> {
         let bad = |msg: String| GpmError::FaultSpec(msg);
-        let mut clauses = Vec::new();
-        for raw in spec.split(';') {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                continue;
-            }
-            let (head, args) = match raw.split_once(':') {
-                Some((h, a)) => (h.trim(), Some(a)),
-                None => (raw, None),
-            };
-            let (kind_name, cores) = match head.split_once('@') {
-                Some((k, c)) => (k.trim(), parse_cores(c.trim())?),
-                None => (head, CoreSet::All),
-            };
-
-            let mut window = IntervalWindow::ALWAYS;
-            let mut std = None;
-            let mut factor = None;
-            let mut lag = None;
-            let mut delay = None;
-            let mut frac = None;
-            for kv in args.into_iter().flat_map(|a| a.split(',')) {
-                let kv = kv.trim();
-                if kv.is_empty() {
-                    continue;
-                }
-                let (key, value) = kv
-                    .split_once('=')
-                    .ok_or_else(|| bad(format!("`{kv}` is not key=value")))?;
-                let value = value.trim();
-                match key.trim() {
-                    "from" => window.from = parse_num(value, "from")?,
-                    "to" => window.to = Some(parse_num(value, "to")?),
-                    "std" => std = Some(parse_float(value, "std")?),
-                    "factor" => factor = Some(parse_float(value, "factor")?),
-                    "lag" => lag = Some(parse_num(value, "lag")?),
-                    "delay" => delay = Some(parse_num(value, "delay")?),
-                    "frac" => frac = Some(parse_float(value, "frac")?),
-                    other => return Err(bad(format!("unknown key `{other}` in `{raw}`"))),
-                }
-            }
-            if let Some(to) = window.to {
-                if to <= window.from {
-                    return Err(bad(format!(
-                        "empty window [{}, {to}) in `{raw}`",
-                        window.from
-                    )));
-                }
-            }
-
-            let kind = match kind_name {
+        let clauses = parse_clauses(spec, "fault spec", |c| {
+            let kind = match c.kind {
                 "noise" => {
-                    let std = std.ok_or_else(|| bad(format!("noise needs std= in `{raw}`")))?;
+                    let std = c.float("std")?;
+                    let std = c.needs(std, "std")?;
                     if !(std > 0.0 && std < 1.0) {
                         return Err(bad(format!("noise std {std} outside (0, 1)")));
                     }
                     FaultKind::SensorNoise { std }
                 }
                 "bias" => {
-                    let factor =
-                        factor.ok_or_else(|| bad(format!("bias needs factor= in `{raw}`")))?;
+                    let factor = c.float("factor")?;
+                    let factor = c.needs(factor, "factor")?;
                     if !(factor > 0.0 && factor.is_finite()) {
                         return Err(bad(format!("bias factor {factor} must be positive")));
                     }
                     FaultKind::SensorBias { factor }
                 }
                 "stale" => {
-                    let lag = lag.unwrap_or(2);
+                    let lag = c.int("lag")?.unwrap_or(2);
                     if lag == 0 {
                         return Err(bad("stale lag must be >= 1".into()));
                     }
                     FaultKind::StaleTelemetry { lag }
                 }
                 "dropout" => FaultKind::SensorDropout,
-                "stuck" => FaultKind::StuckDvfs(match delay {
+                "stuck" => FaultKind::StuckDvfs(match c.int("delay")? {
                     None | Some(0) => DvfsFault::Ignore,
                     Some(d) => DvfsFault::Delay(d),
                 }),
                 "shock" => {
-                    let fraction =
-                        frac.ok_or_else(|| bad(format!("shock needs frac= in `{raw}`")))?;
+                    let fraction = c.float("frac")?;
+                    let fraction = c.needs(fraction, "frac")?;
                     if !(fraction > 0.0 && fraction <= 1.0) {
                         return Err(bad(format!("shock frac {fraction} outside (0, 1]")));
                     }
@@ -284,15 +238,14 @@ impl FaultPlan {
                 }
                 other => return Err(bad(format!("unknown fault kind `{other}`"))),
             };
-            clauses.push(FaultClause {
+            Ok(FaultClause {
                 kind,
-                cores,
-                window,
-            });
-        }
-        if clauses.is_empty() {
-            return Err(bad("fault spec contains no clauses".into()));
-        }
+                cores: c
+                    .targets("core index")?
+                    .map_or(CoreSet::All, CoreSet::Cores),
+                window: c.window,
+            })
+        })?;
         Ok(Self {
             clauses,
             seed: DEFAULT_SEED,
@@ -325,31 +278,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-}
-
-fn parse_cores(s: &str) -> Result<CoreSet> {
-    if s.eq_ignore_ascii_case("all") {
-        return Ok(CoreSet::All);
-    }
-    let list = s
-        .split('+')
-        .map(|p| {
-            p.trim()
-                .parse::<usize>()
-                .map_err(|_| GpmError::FaultSpec(format!("bad core index `{p}`")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(CoreSet::Cores(list))
-}
-
-fn parse_num(s: &str, key: &str) -> Result<usize> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad integer for {key}: `{s}`")))
-}
-
-fn parse_float(s: &str, key: &str) -> Result<f64> {
-    s.parse()
-        .map_err(|_| GpmError::FaultSpec(format!("bad number for {key}: `{s}`")))
 }
 
 #[cfg(test)]
@@ -403,6 +331,10 @@ mod tests {
             "dropout@0:from=5,to=5", // empty window
             "dropout@0:weird=1",     // unknown key
             "dropout@0:from",        // not key=value
+            "noise:std=0.1,lag=2",   // key noise does not read
+            "dropout@0:lag=2",       // key dropout does not read
+            "stuck@0:frac=0.5",      // key stuck does not read
+            "bias:factor=0.8,std=1", // key bias does not read
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(

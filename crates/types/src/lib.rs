@@ -46,3 +46,23 @@ pub use units::{Bips, Cycles, Hertz, Instructions, Joules, Micros, Seconds, Volt
 
 /// Convenient result alias used across the workspace.
 pub type Result<T> = std::result::Result<T, GpmError>;
+
+/// The SplitMix64 finalizer: one round of the standard 64-bit avalanche
+/// mix (golden-ratio increment, then two xor-shift-multiply steps). Every
+/// seeded hash in the workspace — fleet node placement and fault draws —
+/// goes through this one function.
+///
+/// # Examples
+///
+/// ```
+/// // The first output of a SplitMix64 generator seeded with 0.
+/// assert_eq!(gpm_types::splitmix64(0), 0xe220_a839_7b1d_cdaf);
+/// ```
+#[inline]
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

@@ -54,15 +54,17 @@ GPM_THREADS=1 cargo test --quiet --test step_equivalence
 GPM_THREADS=8 cargo test --quiet --test step_equivalence
 cargo clippy -p gpm-microarch --all-targets -- -D warnings
 
-# The cluster-sharded drive promises K=1/zero-interconnect bit-identity
-# with the flat path and a scheduling-independent 64-way golden hash;
-# run the hierarchical equivalence group (flat goldens, 64-way sharded
-# golden across thread counts, arbiter conservation proptest) under a
+# The full-CMP simulator has one drive: clusters with private L2s behind
+# an interconnect, the paper's chip being the one-cluster, free-fabric
+# case built by FullCmpSim::new. It promises the same golden hashes for
+# that chip through `new` (cmp_equivalence) and through `with_topology`
+# (hier_equivalence), and a scheduling-independent 64-way 8x8 golden
+# hash. Run both groups (plus the arbiter conservation proptest) under a
 # serial and a saturated pool, and lint the simulator crate at
 # zero-warning strictness.
-echo "==> hierarchical tier: hier_equivalence under two pool widths + clippy -D warnings"
-GPM_THREADS=1 cargo test --quiet --test hier_equivalence
-GPM_THREADS=8 cargo test --quiet --test hier_equivalence
+echo "==> hierarchical tier: cmp_equivalence + hier_equivalence under two pool widths + clippy -D warnings"
+GPM_THREADS=1 cargo test --quiet --test cmp_equivalence --test hier_equivalence
+GPM_THREADS=8 cargo test --quiet --test cmp_equivalence --test hier_equivalence
 cargo clippy -p gpm-cmp --all-targets -- -D warnings
 
 # The fleet-mode decision engine promises bit-identical cached decisions
