@@ -371,3 +371,89 @@ fn restore_refuses_foreign_configurations() {
         );
     }
 }
+
+/// FNV-1a 64; mirrors nothing in the library so the golden cannot drift
+/// with it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `json` with the number after every wall-clock-derived field zeroed, so
+/// the rest of the serialized checkpoint can be pinned byte for byte.
+fn without_wall_clock(json: &str) -> String {
+    let mut out = json.to_owned();
+    for field in [
+        "\"solver_us_spent\":",
+        "\"solver_us_saved\":",
+        "\"solve_us_total\":",
+    ] {
+        let mut from = 0;
+        while let Some(at) = out[from..].find(field) {
+            let start = from + at + field.len();
+            let len = out[start..]
+                .find([',', '}'])
+                .expect("a number is followed by a delimiter");
+            out.replace_range(start..start + len, "0");
+            from = start;
+        }
+    }
+    out
+}
+
+/// The serialized checkpoint format is a restart contract: its JSON after
+/// a fixed few ticks (wall-clock fields zeroed) is pinned byte for byte,
+/// so no in-memory key detail can leak into it.
+#[test]
+fn checkpoint_json_matches_golden_digest() {
+    let config = FleetConfig {
+        degraded: Some(DegradedConfig::default()),
+        rack: Some(RackConfig::new(Watts::new(900.0))),
+        ..FleetConfig::default()
+    };
+    let mut engine = FleetEngine::new(config).expect("valid config");
+    drive(&mut engine, 8, 0..4, 4);
+    let json = without_wall_clock(&engine.checkpoint().to_json());
+    assert!(json.contains("\"words\":["), "keys serialize as word lists");
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        0x6f68_e698_ba10_797e,
+        "checkpoint JSON drifted"
+    );
+}
+
+/// A restored engine answers its next tick from the cache exactly like
+/// the original: the same decisions, the same cache and dedup hits and
+/// no solve either engine would not also run.
+#[test]
+fn restored_engine_answers_next_tick_with_the_same_hits() {
+    let config = FleetConfig::default();
+    let mut original = FleetEngine::new(config.clone()).expect("valid config");
+    drive(&mut original, 8, 0..3, 4);
+    let json = original.checkpoint().to_json();
+    let checkpoint = FleetCheckpoint::from_json(&json).expect("roundtrips");
+    let mut restored = FleetEngine::restore(config, &checkpoint).expect("restores");
+    let before = original.stats();
+    let (want, _) = drive(&mut original, 8, 3..4, 4);
+    let (got, _) = drive(&mut restored, 8, 3..4, 4);
+    assert_eq!(
+        got, want,
+        "restored engine decided its next tick differently"
+    );
+    let (after_original, after_restored) = (original.stats(), restored.stats());
+    assert_eq!(
+        integer_stats(after_restored),
+        integer_stats(after_original),
+        "restored engine's next tick took a different path"
+    );
+    assert_eq!(
+        after_restored.cache_hits - before.cache_hits,
+        PHASES,
+        "every phase key of the next tick is a cross-tick cache hit"
+    );
+    assert_eq!(after_restored.unique_solves, before.unique_solves);
+}

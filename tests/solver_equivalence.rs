@@ -230,3 +230,101 @@ fn sixteen_way_run_is_bit_identical_across_pool_widths() {
         assert_eq!(one.duration, wide.duration);
     }
 }
+
+/// FNV-1a 64; mirrors nothing in the library so the golden cannot drift
+/// with it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The synthetic fleet's row pattern (`fleet_load::PhaseTables`) for one
+/// `(family, phase)` cell: power rows `[t, 0.55t, 0.3t]`, BIPS rows
+/// `[t, 0.85t, 0.7t]`.
+fn fleet_rows(cores: usize, family: usize, phase: usize) -> PowerBipsMatrices {
+    PowerBipsMatrices::from_rows(
+        (0..cores)
+            .map(|i| {
+                let t = 12.0 + ((i * 7 + family * 3 + phase * 5) % 11) as f64 * 1.3;
+                [t, t * 0.55, t * 0.3]
+            })
+            .collect(),
+        (0..cores)
+            .map(|i| {
+                let t = 0.4 + ((i * 5 + family * 2 + phase * 3) % 9) as f64 * 0.35;
+                [t, t * 0.85, t * 0.7]
+            })
+            .collect(),
+    )
+}
+
+/// Wide chips (12, 16 and 32 cores) are beyond the exhaustive scan, so
+/// their answers are pinned by a golden digest instead: the fleet row
+/// pattern × a budget sweep from 0.55 to 1.0 of all-Turbo power × uniform
+/// Turbo and cycling T/E1/E2 current modes. Any change to the solver
+/// that moves a single wide-chip decision changes the digest.
+#[test]
+fn wide_chip_answers_match_golden_digest() {
+    let (dvfs, explore) = paper_ctx();
+    let mut repr = Vec::new();
+    for cores in [12usize, 16, 32] {
+        for (family, phase) in [(0, 0), (1, 2), (5, 3), (17, 1)] {
+            let m = fleet_rows(cores, family, phase);
+            let all_turbo: f64 = (0..cores)
+                .map(|c| {
+                    m.power(gpm::types::CoreId::new(c), PowerMode::Turbo)
+                        .value()
+                })
+                .sum();
+            let currents = [
+                ModeCombination::uniform(cores, PowerMode::Turbo),
+                (0..cores).map(|i| PowerMode::ALL[i % 3]).collect(),
+            ];
+            for current in &currents {
+                for step in 0..=9 {
+                    let budget = Watts::new(all_turbo * (0.55 + 0.05 * step as f64));
+                    let combo = solver::solve(&m, current, budget, &dvfs, explore);
+                    repr.extend(combo.as_slice().iter().map(|md| md.index() as u8));
+                    repr.push(b'|');
+                }
+            }
+        }
+    }
+    assert_eq!(
+        fnv1a(&repr),
+        0xc76b_cab5_0c0e_98c9,
+        "wide-chip solver answers drifted"
+    );
+}
+
+/// Deterministic 9- and 10-core problems (3^10 = 59,049 candidates)
+/// checked against the literal scan: past the proptest's 8-core ceiling.
+#[test]
+fn nine_and_ten_core_cases_match_the_scan() {
+    for cores in [9usize, 10] {
+        for (family, phase) in [(0, 0), (2, 1), (7, 3)] {
+            let m = fleet_rows(cores, family, phase);
+            let all_turbo: f64 = (0..cores)
+                .map(|c| {
+                    m.power(gpm::types::CoreId::new(c), PowerMode::Turbo)
+                        .value()
+                })
+                .sum();
+            let currents = [
+                ModeCombination::uniform(cores, PowerMode::Turbo),
+                (0..cores)
+                    .map(|i| PowerMode::ALL[(i + phase) % 3])
+                    .collect(),
+            ];
+            for current in &currents {
+                for frac in [0.55, 0.7, 0.85, 0.97] {
+                    assert_solver_matches_scan(&m, current, Watts::new(all_turbo * frac));
+                }
+            }
+        }
+    }
+}
