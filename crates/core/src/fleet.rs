@@ -60,14 +60,14 @@
 //!
 //! [`FleetFaultSession`]: gpm_faults::FleetFaultSession
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
 use gpm_faults::{CorruptField, FleetFaultPlan, FleetFaultSession, SensorStatus};
 use gpm_power::DvfsParams;
 use gpm_types::{
-    CoreId, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, Result, Watts,
+    CoreId, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, QuantizedKeyBuilder,
+    Result, Watts,
 };
 
 use crate::policy::{solver, CacheConfig, CacheSnapshot, HierMaxBips, Policy, PolicyContext};
@@ -149,7 +149,8 @@ pub struct FleetConfig {
     /// `stale_tolerance`.
     pub dark_after: usize,
     /// Largest core count solved by the flat exact branch-and-bound;
-    /// wider nodes use [`HierMaxBips`]. Must be at least 1.
+    /// wider nodes use [`HierMaxBips`]. Must be between 1 and
+    /// [`solver::MAX_CORES`].
     pub flat_core_limit: usize,
     /// Cluster width for the hierarchical solver on wide nodes.
     pub cluster_cores: usize,
@@ -372,6 +373,10 @@ struct RackState {
 /// is safe, and it removes the default hasher's cost from the
 /// one-lookup-per-report hot path of the armed engine.
 ///
+/// Decision-cache keys hash through it too: a [`QuantizedKey`] feeds only
+/// its precomputed fingerprint, so the cache map and Phase B's dedup
+/// index each pay one finalizer round per probe, whatever the key length.
+///
 /// The same finalizer round is the fleet *shard* function (see
 /// [`node_shard`]): the service layer routes node ids to shard-pinned
 /// engines with exactly this mixing, so node placement is a pure,
@@ -396,6 +401,7 @@ impl std::hash::Hasher for NodeIdHasher {
 }
 
 type NodeMap = HashMap<u64, NodeState, std::hash::BuildHasherDefault<NodeIdHasher>>;
+type FingerprintMap = HashMap<u64, usize, std::hash::BuildHasherDefault<NodeIdHasher>>;
 
 /// The fleet shard function: which of `shards` shard-pinned engines owns
 /// `node`. One splitmix64 finalizer round (the [`NodeIdHasher`] mixing)
@@ -519,6 +525,11 @@ pub struct FleetEngine {
     /// The tick after the last processed one (backoff hints count from
     /// here between ticks).
     next_tick: u64,
+    /// Phase B's dedup index, fingerprint → newest group with that
+    /// fingerprint; cleared every tick, its allocation kept.
+    dedup: FingerprintMap,
+    /// Phase B's reusable key buffer.
+    key_scratch: QuantizedKeyBuilder,
 }
 
 impl FleetEngine {
@@ -530,10 +541,14 @@ impl FleetEngine {
                 reason: "tick queue must hold at least one report".into(),
             });
         }
-        if config.flat_core_limit == 0 {
+        if config.flat_core_limit == 0 || config.flat_core_limit > solver::MAX_CORES {
             return Err(GpmError::InvalidConfig {
                 parameter: "fleet.flat_core_limit",
-                reason: "flat solver limit must be at least 1".into(),
+                reason: format!(
+                    "flat solver limit must be between 1 and {} cores, got {}",
+                    solver::MAX_CORES,
+                    config.flat_core_limit
+                ),
             });
         }
         if config.dark_after <= config.stale_tolerance {
@@ -593,6 +608,8 @@ impl FleetEngine {
             backoff_nodes: 0,
             rack_state,
             next_tick: 0,
+            dedup: FingerprintMap::default(),
+            key_scratch: QuantizedKeyBuilder::default(),
             config,
         })
     }
@@ -792,40 +809,59 @@ impl FleetEngine {
         }
 
         // Phase B — within-tick dedup: group by canonical key, first
-        // occurrence leads. Group order (= first-occurrence order) drives
-        // every later cache access, so nothing depends on hash iteration
-        // order.
-        let mut index: HashMap<QuantizedKey, usize> = HashMap::new();
-        let mut groups: Vec<(QuantizedKey, Vec<usize>)> = Vec::new();
+        // occurrence leads. Each report's key is written into one reusable
+        // buffer and probed by fingerprint; only a new problem pays for a
+        // key, stored once in its group. Groups sharing a fingerprint are
+        // chained through `next`, and a match compares every word. Group
+        // order (= first-occurrence order) drives every later cache
+        // access, so nothing depends on hash iteration order.
+        struct Group {
+            key: QuantizedKey,
+            /// Index into `accepted` of the first member.
+            leader: usize,
+            size: u64,
+            /// The previous group with the same fingerprint, or `NO_GROUP`.
+            next: usize,
+        }
+        const NO_GROUP: usize = usize::MAX;
+        self.dedup.clear();
+        let mut groups: Vec<Group> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(accepted.len());
-        for &i in accepted.iter() {
+        for (a, &i) in accepted.iter().enumerate() {
             let report = &batch[i];
-            let key = self.cache.key(
+            let scratch = &mut self.key_scratch;
+            self.cache.write_key(
+                scratch,
                 &report.matrices,
                 &report.current,
                 report.budget,
                 &self.config.dvfs,
                 self.config.explore,
             );
-            let a = group_of.len();
-            match index.entry(key.clone()) {
-                Entry::Occupied(entry) => {
-                    group_of.push(*entry.get());
-                    groups[*entry.get()].1.push(a);
-                }
-                Entry::Vacant(entry) => {
-                    entry.insert(groups.len());
-                    group_of.push(groups.len());
-                    groups.push((key, vec![a]));
-                }
+            let fingerprint = scratch.fingerprint();
+            let mut g = self.dedup.get(&fingerprint).copied().unwrap_or(NO_GROUP);
+            while g != NO_GROUP && groups[g].key.words() != scratch.words() {
+                g = groups[g].next;
             }
+            if g == NO_GROUP {
+                g = groups.len();
+                let next = self.dedup.insert(fingerprint, g).unwrap_or(NO_GROUP);
+                groups.push(Group {
+                    key: scratch.to_key(),
+                    leader: a,
+                    size: 0,
+                    next,
+                });
+            }
+            groups[g].size += 1;
+            group_of.push(g);
         }
 
         // Phase C — leaders probe the cross-tick cache serially, in group
         // order; solver-timeout injection diverts residual-miss groups to
         // the degraded path before they can touch the accounting identity.
-        let mut results: Vec<Option<ModeCombination>> = vec![None; accepted.len()];
-        let mut timed_out: Vec<bool> = vec![false; accepted.len()];
+        let mut decided: Vec<Option<ModeCombination>> = vec![None; groups.len()];
+        let mut timed_out: Vec<bool> = vec![false; groups.len()];
         let mut timed_out_members: u64 = 0;
         let mut avoided_this_tick: u64 = 0;
         let mut misses: Vec<usize> = Vec::new();
@@ -837,13 +873,13 @@ impl FleetEngine {
         // the served decision itself.) Keeps rack accounting O(groups),
         // not O(nodes), per tick.
         let mut group_watts: Vec<f64> = vec![0.0; if track_power { groups.len() } else { 0 }];
-        for (g, (key, members)) in groups.iter().enumerate() {
-            if let Some(combo) = self.cache.get(key) {
+        for (g, group) in groups.iter().enumerate() {
+            let leader = &batch[accepted[group.leader]];
+            if let Some(combo) = self.cache.get(&group.key) {
                 self.stats.cache_hits += 1;
-                self.stats.dedup_hits += members.len() as u64 - 1;
-                avoided_this_tick += members.len() as u64;
+                self.stats.dedup_hits += group.size - 1;
+                avoided_this_tick += group.size;
                 if self.config.cache.verify_hits {
-                    let leader = &batch[accepted[members[0]]];
                     let fresh = self.solve_one(leader);
                     assert_eq!(
                         combo, fresh,
@@ -852,27 +888,21 @@ impl FleetEngine {
                     );
                 }
                 if track_power {
-                    let leader = &batch[accepted[members[0]]];
                     group_watts[g] = leader.matrices.chip_power(&combo).value();
                 }
-                for &a in members {
-                    results[a] = Some(combo.clone());
-                }
+                decided[g] = Some(combo);
             } else {
-                let leader = &batch[accepted[members[0]]];
                 let timeout = self
                     .session
                     .as_ref()
                     .is_some_and(|s| s.solver_timeout(now, leader.node));
                 if timeout {
                     self.stats.solver_timeouts += 1;
-                    timed_out_members += members.len() as u64;
-                    for &a in members {
-                        timed_out[a] = true;
-                    }
+                    timed_out_members += group.size;
+                    timed_out[g] = true;
                 } else {
-                    self.stats.dedup_hits += members.len() as u64 - 1;
-                    avoided_this_tick += members.len() as u64 - 1;
+                    self.stats.dedup_hits += group.size - 1;
+                    avoided_this_tick += group.size - 1;
                     misses.push(g);
                 }
             }
@@ -885,7 +915,7 @@ impl FleetEngine {
         // for any pool width.
         let miss_leaders: Vec<&NodeTelemetry> = misses
             .iter()
-            .map(|&g| &batch[accepted[groups[g].1[0]]])
+            .map(|&g| &batch[accepted[groups[g].leader]])
             .collect();
         let config = &self.config;
         let solved: Vec<(ModeCombination, f64)> = gpm_par::parallel_map(&miss_leaders, |report| {
@@ -893,17 +923,15 @@ impl FleetEngine {
             let combo = solve_report(config, report);
             (combo, start.elapsed().as_secs_f64() * 1e6)
         });
-        for (&g, (combo, micros)) in misses.iter().zip(solved) {
+        for ((&g, leader), (combo, micros)) in misses.iter().zip(&miss_leaders).zip(solved) {
             self.stats.unique_solves += 1;
             self.stats.solver_us_spent += micros;
-            self.cache.insert(groups[g].0.clone(), combo.clone());
+            self.cache
+                .insert(std::mem::take(&mut groups[g].key), combo.clone());
             if track_power {
-                let leader = &batch[accepted[groups[g].1[0]]];
                 group_watts[g] = leader.matrices.chip_power(&combo).value();
             }
-            for &a in &groups[g].1 {
-                results[a] = Some(combo.clone());
-            }
+            decided[g] = Some(combo);
         }
         if self.stats.unique_solves > 0 {
             let mean = self.stats.solver_us_spent / self.stats.unique_solves as f64;
@@ -922,10 +950,11 @@ impl FleetEngine {
         for (i, disposition) in triage.iter().enumerate() {
             let report = &batch[i];
             match disposition {
-                Triage::Accept(a) if !timed_out[*a] => {
-                    let modes = results[*a].clone().expect("every live group was decided");
+                Triage::Accept(a) if !timed_out[group_of[*a]] => {
+                    let g = group_of[*a];
+                    let modes = decided[g].clone().expect("every live group was decided");
                     if track_power {
-                        estimates.push(group_watts[group_of[*a]]);
+                        estimates.push(group_watts[g]);
                         sources.push(Some(i));
                     }
                     out.push(NodeDecision {
@@ -1428,6 +1457,14 @@ mod tests {
                 "flat",
             ),
             (
+                Box::new(|c: &mut FleetConfig| c.flat_core_limit = solver::MAX_CORES + 1),
+                "flat above the solver's width",
+            ),
+            (
+                Box::new(|c: &mut FleetConfig| c.cluster_cores = solver::MAX_CORES + 1),
+                "hier above the solver's width",
+            ),
+            (
                 Box::new(|c: &mut FleetConfig| c.cache.capacity = 0),
                 "cache",
             ),
@@ -1458,6 +1495,34 @@ mod tests {
                 Err(GpmError::InvalidConfig { .. })
             ));
         }
+    }
+
+    #[test]
+    fn flat_limit_above_the_solver_width_is_rejected_not_a_mid_tick_panic() {
+        let config = FleetConfig {
+            flat_core_limit: 100,
+            ..FleetConfig::default()
+        };
+        assert!(matches!(
+            FleetEngine::new(config),
+            Err(GpmError::InvalidConfig {
+                parameter: "fleet.flat_core_limit",
+                ..
+            })
+        ));
+        // At the solver's width the engine builds, and a report wider than
+        // the flat limit takes the hierarchical path.
+        let mut engine = FleetEngine::new(FleetConfig {
+            flat_core_limit: solver::MAX_CORES,
+            ..FleetConfig::default()
+        })
+        .expect("the solver's own width is a valid flat limit");
+        for (node, cores) in [(0, solver::MAX_CORES), (1, solver::MAX_CORES + 20)] {
+            assert!(engine.submit(telemetry(node, 0, cores, 0)));
+        }
+        let decisions = engine.run_tick(0);
+        assert_eq!(decisions.len(), 2);
+        assert_eq!(decisions[1].modes.len(), solver::MAX_CORES + 20);
     }
 
     #[test]

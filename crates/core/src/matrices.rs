@@ -125,6 +125,18 @@ impl PowerBipsMatrices {
         Bips::new(self.bips[core.value()][mode.index()])
     }
 
+    /// The power matrix, one `[Turbo, Eff1, Eff2]` row per core.
+    #[must_use]
+    pub fn power_rows(&self) -> &[[f64; PowerMode::COUNT]] {
+        &self.power
+    }
+
+    /// The BIPS matrix, one `[Turbo, Eff1, Eff2]` row per core.
+    #[must_use]
+    pub fn bips_rows(&self) -> &[[f64; PowerMode::COUNT]] {
+        &self.bips
+    }
+
     /// Whether every power and BIPS cell is finite and non-negative — the
     /// fleet engine's telemetry-validation fast path (one contiguous scan,
     /// no per-cell accessor indirection).

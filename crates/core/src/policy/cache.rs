@@ -26,6 +26,7 @@
 //! runs issuing the same key sequence hold identical cache contents.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
 use gpm_power::DvfsParams;
@@ -33,12 +34,18 @@ use gpm_types::{
     GpmError, Micros, ModeCombination, QuantizedKey, QuantizedKeyBuilder, Result, Watts,
 };
 
+use crate::fleet::NodeIdHasher;
 use crate::PowerBipsMatrices;
 
 use super::{solver, Policy, PolicyContext};
 
 /// Sentinel slot index for the intrusive LRU list ends.
 const NIL: usize = usize::MAX;
+
+/// The key index. A key hashes as its precomputed fingerprint, so one
+/// [`NodeIdHasher`] round is the whole hash; lookups still compare every
+/// word on a fingerprint match.
+type KeyMap = HashMap<QuantizedKey, usize, BuildHasherDefault<NodeIdHasher>>;
 
 /// Tuning knobs for a [`DecisionCache`].
 ///
@@ -153,7 +160,7 @@ struct Slot {
 #[derive(Debug)]
 pub struct DecisionCache {
     config: CacheConfig,
-    map: HashMap<QuantizedKey, usize>,
+    map: KeyMap,
     slots: Vec<Slot>,
     head: usize,
     tail: usize,
@@ -172,7 +179,10 @@ impl DecisionCache {
             });
         }
         Ok(Self {
-            map: HashMap::with_capacity(config.capacity.min(1 << 16)),
+            map: KeyMap::with_capacity_and_hasher(
+                config.capacity.min(1 << 16),
+                BuildHasherDefault::default(),
+            ),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -229,17 +239,27 @@ impl DecisionCache {
         dvfs: &DvfsParams,
         explore: Micros,
     ) -> QuantizedKey {
-        let cores = matrices.cores();
-        let mut b = QuantizedKeyBuilder::with_capacity(7 * cores + 6);
-        b.push_word(cores as u64);
-        for core in 0..cores {
-            let id = gpm_types::CoreId::new(core);
-            for mode in gpm_types::PowerMode::ALL {
-                b.push_value(matrices.power(id, mode).value(), self.config.watt_quantum);
-            }
-            for mode in gpm_types::PowerMode::ALL {
-                b.push_value(matrices.bips(id, mode).value(), self.config.bips_quantum);
-            }
+        let mut b = QuantizedKeyBuilder::with_capacity(7 * matrices.cores() + 6);
+        self.write_key(&mut b, matrices, current, budget, dvfs, explore);
+        b.finish()
+    }
+
+    /// [`key`](Self::key) into a reusable builder: clears `b` and pushes
+    /// the problem's canonical words, reading the matrix rows directly.
+    pub fn write_key(
+        &self,
+        b: &mut QuantizedKeyBuilder,
+        matrices: &PowerBipsMatrices,
+        current: &ModeCombination,
+        budget: Watts,
+        dvfs: &DvfsParams,
+        explore: Micros,
+    ) {
+        b.clear();
+        b.push_word(matrices.cores() as u64);
+        for (power, bips) in matrices.power_rows().iter().zip(matrices.bips_rows()) {
+            b.push_values(power, self.config.watt_quantum);
+            b.push_values(bips, self.config.bips_quantum);
         }
         for &mode in current.as_slice() {
             b.push_word(mode.index() as u64);
@@ -249,7 +269,6 @@ impl DecisionCache {
         b.push_word(dvfs.nominal_vdd.value().to_bits());
         b.push_word(dvfs.nominal_frequency.value().to_bits());
         b.push_word(dvfs.slew_rate_v_per_us.to_bits());
-        b.finish()
     }
 
     /// Raw lookup: returns the memoized combination for `key` (promoting

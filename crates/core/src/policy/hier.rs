@@ -65,12 +65,16 @@ impl HierMaxBips {
     ///
     /// # Errors
     ///
-    /// Returns [`GpmError::InvalidConfig`] when `cluster_cores` is zero.
+    /// Returns [`GpmError::InvalidConfig`] when `cluster_cores` is zero or
+    /// wider than [`solver::MAX_CORES`].
     pub fn with_cluster_cores(cluster_cores: usize) -> Result<Self> {
-        if cluster_cores == 0 {
+        if cluster_cores == 0 || cluster_cores > solver::MAX_CORES {
             return Err(GpmError::InvalidConfig {
                 parameter: "cluster_cores",
-                reason: "need at least one core per cluster".into(),
+                reason: format!(
+                    "need between 1 and {} cores per cluster, got {cluster_cores}",
+                    solver::MAX_CORES
+                ),
             });
         }
         Ok(Self { cluster_cores })

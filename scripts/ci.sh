@@ -163,6 +163,13 @@ cargo run --release --quiet -p gpm-cli -- figure fleet --nodes 64 --fast \
 echo "==> GPM_BENCH_QUICK=1 cargo bench -p gpm-bench --bench sim_throughput"
 GPM_BENCH_QUICK=1 cargo bench -p gpm-bench --bench sim_throughput
 
+# The benchmark under perfbench/ is its own Cargo workspace that calls the
+# library directly (solver::solve, FleetConfig, NodeTelemetry,
+# ShardedEngine); run its quick-mode and failed-op tests so API drift fails
+# here rather than in a benchmark run.
+echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+cargo test --offline --quiet --manifest-path perfbench/Cargo.toml
+
 # Gate the recorded benchmark trajectory: any before/after speedup row
 # in BENCH_sim_throughput.json below 0.95 (a >5% regression against its
 # recorded baseline, beyond best-of-N noise) fails CI, as does a missing
