@@ -27,12 +27,14 @@
 //!    time out — all pure functions of `(seed, tick, node)`, so the fault
 //!    schedule is bit-identical for any pool width and across restores.
 //! 3. **Within-tick dedup.** Accepted reports are canonicalized to
-//!    [`QuantizedKey`]s; identical problems collapse onto one leader per
-//!    tick (first occurrence wins), so a phase-aligned fleet costs one
-//!    solve for thousands of nodes.
-//! 4. **Memoized solve.** Leaders probe the cross-tick [`DecisionCache`];
-//!    residual misses fan out over the `gpm_par` pool — the flat exact
-//!    branch-and-bound up to [`FleetConfig::flat_core_limit`] cores,
+//!    [`QuantizedKey`]s; identical problems at identical budgets collapse
+//!    onto one leader per tick (first occurrence wins), so a
+//!    phase-aligned fleet costs one solve for thousands of nodes.
+//! 4. **Memoized solve.** Leaders probe the cross-tick [`DecisionCache`]
+//!    at their budgets (for a flat-solved node one cached answer serves
+//!    every budget in its exact range, so a re-budgeted node usually
+//!    hits); residual misses fan out over the `gpm_par` pool — the flat
+//!    exact branch-and-bound up to [`FleetConfig::flat_core_limit`] cores,
 //!    [`HierMaxBips`] above — and are inserted back serially in miss
 //!    order, which keeps the cache's LRU state (and therefore every later
 //!    decision) independent of the pool width.
@@ -66,16 +68,17 @@ use std::time::Instant;
 use gpm_faults::{CorruptField, FleetFaultPlan, FleetFaultSession, SensorStatus};
 use gpm_power::DvfsParams;
 use gpm_types::{
-    CoreId, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, QuantizedKeyBuilder,
-    Result, Watts,
+    quantize_value, CoreId, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey,
+    QuantizedKeyBuilder, Result, Watts,
 };
 
 use crate::policy::{solver, CacheConfig, CacheSnapshot, HierMaxBips, Policy, PolicyContext};
 use crate::{DecisionCache, PowerBipsMatrices};
 
 /// Version tag stamped on every [`FleetCheckpoint`]; bumped whenever the
-/// snapshot layout changes incompatibly.
-pub const FLEET_CHECKPOINT_VERSION: u32 = 1;
+/// snapshot layout changes incompatibly. Version 2 stores the decision
+/// cache as problems plus budget-ranged answers.
+pub const FLEET_CHECKPOINT_VERSION: u32 = 2;
 
 /// Degraded-operation knobs: what the engine does for nodes whose reports
 /// were dropped, invalidated or timed out, and how rejected submitters
@@ -468,16 +471,32 @@ impl FleetCheckpoint {
         serde_json::to_string(self).expect("checkpoint state always serializes")
     }
 
-    /// Deserializes a checkpoint from JSON.
+    /// Deserializes a checkpoint from JSON. The version is read first, so
+    /// a checkpoint of another layout version is refused by name rather
+    /// than as a shape mismatch.
     ///
     /// # Errors
     ///
-    /// Returns [`GpmError::InvalidConfig`] on malformed input.
+    /// Returns [`GpmError::InvalidConfig`] on malformed input or a
+    /// version other than [`FLEET_CHECKPOINT_VERSION`].
     pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| GpmError::InvalidConfig {
+        let unparseable = |e: serde_json::Error| GpmError::InvalidConfig {
             parameter: "fleet.checkpoint",
             reason: format!("unparseable checkpoint: {e}"),
-        })
+        };
+        let value = serde::json::parse(json).map_err(unparseable)?;
+        let version = value.field("version").ok().and_then(|v| v.as_u64());
+        if version != Some(u64::from(FLEET_CHECKPOINT_VERSION)) {
+            return Err(GpmError::InvalidConfig {
+                parameter: "fleet.checkpoint",
+                reason: format!(
+                    "checkpoint version {} is not supported; this engine reads version {}",
+                    version.map_or_else(|| "(missing)".to_owned(), |v| v.to_string()),
+                    FLEET_CHECKPOINT_VERSION
+                ),
+            });
+        }
+        serde::Deserialize::from_value(&value).map_err(unparseable)
     }
 }
 
@@ -525,8 +544,8 @@ pub struct FleetEngine {
     /// The tick after the last processed one (backoff hints count from
     /// here between ticks).
     next_tick: u64,
-    /// Phase B's dedup index, fingerprint → newest group with that
-    /// fingerprint; cleared every tick, its allocation kept.
+    /// Phase B's dedup index, fingerprint → the tick's newest problem
+    /// with that fingerprint; cleared every tick, its allocation kept.
     dedup: FingerprintMap,
     /// Phase B's reusable key buffer.
     key_scratch: QuantizedKeyBuilder,
@@ -808,58 +827,91 @@ impl FleetEngine {
             }
         }
 
-        // Phase B — within-tick dedup: group by canonical key, first
-        // occurrence leads. Each report's key is written into one reusable
-        // buffer and probed by fingerprint; only a new problem pays for a
-        // key, stored once in its group. Groups sharing a fingerprint are
-        // chained through `next`, and a match compares every word. Group
-        // order (= first-occurrence order) drives every later cache
-        // access, so nothing depends on hash iteration order.
-        struct Group {
+        // Phase B — within-tick dedup on (problem, budget): group by the
+        // canonical problem key and the quantized budget word, first
+        // occurrence leads. Each report's key — budget-free wherever the
+        // exact budget-interval rule applies — is written once into a
+        // reusable buffer and probed by fingerprint; only a problem new to
+        // the tick pays for a key, stored once however many budgets it is
+        // asked at. Problems sharing a fingerprint chain through `next`,
+        // and a match compares every word; a problem's groups chain
+        // through their own `next`. Group order (= first-occurrence order)
+        // drives every later cache access, so nothing depends on hash
+        // iteration order.
+        struct TickProblem {
             key: QuantizedKey,
+            /// The problem's newest group.
+            groups: usize,
+            /// The previous problem with the same fingerprint, or `NONE`.
+            next: usize,
+        }
+        struct Group {
+            problem: usize,
+            /// The quantized budget word the members share.
+            budget_word: u64,
             /// Index into `accepted` of the first member.
             leader: usize,
             size: u64,
-            /// The previous group with the same fingerprint, or `NO_GROUP`.
+            /// The problem's previous group, or `NONE`.
             next: usize,
         }
-        const NO_GROUP: usize = usize::MAX;
+        const NONE: usize = usize::MAX;
         self.dedup.clear();
+        let mut problems: Vec<TickProblem> = Vec::new();
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(accepted.len());
         for (a, &i) in accepted.iter().enumerate() {
             let report = &batch[i];
             let scratch = &mut self.key_scratch;
-            self.cache.write_key(
-                scratch,
-                &report.matrices,
-                &report.current,
-                report.budget,
-                &self.config.dvfs,
-                self.config.explore,
-            );
+            let ctx = PolicyContext {
+                current_modes: &report.current,
+                matrices: &report.matrices,
+                future: None,
+                budget: report.budget,
+                dvfs: &self.config.dvfs,
+                explore: self.config.explore,
+            };
+            self.cache
+                .write_key(scratch, &ctx, solved_exactly(&self.config, report));
             let fingerprint = scratch.fingerprint();
-            let mut g = self.dedup.get(&fingerprint).copied().unwrap_or(NO_GROUP);
-            while g != NO_GROUP && groups[g].key.words() != scratch.words() {
-                g = groups[g].next;
+            let mut p = self.dedup.get(&fingerprint).copied().unwrap_or(NONE);
+            while p != NONE && problems[p].key.words() != scratch.words() {
+                p = problems[p].next;
             }
-            if g == NO_GROUP {
-                g = groups.len();
-                let next = self.dedup.insert(fingerprint, g).unwrap_or(NO_GROUP);
-                groups.push(Group {
+            if p == NONE {
+                p = problems.len();
+                let next = self.dedup.insert(fingerprint, p).unwrap_or(NONE);
+                problems.push(TickProblem {
                     key: scratch.to_key(),
-                    leader: a,
-                    size: 0,
+                    groups: NONE,
                     next,
                 });
+            }
+            let budget_word =
+                quantize_value(report.budget.value(), self.config.cache.budget_quantum);
+            let mut g = problems[p].groups;
+            while g != NONE && groups[g].budget_word != budget_word {
+                g = groups[g].next;
+            }
+            if g == NONE {
+                g = groups.len();
+                groups.push(Group {
+                    problem: p,
+                    budget_word,
+                    leader: a,
+                    size: 0,
+                    next: problems[p].groups,
+                });
+                problems[p].groups = g;
             }
             groups[g].size += 1;
             group_of.push(g);
         }
 
         // Phase C — leaders probe the cross-tick cache serially, in group
-        // order; solver-timeout injection diverts residual-miss groups to
-        // the degraded path before they can touch the accounting identity.
+        // order, at their budgets; solver-timeout injection diverts
+        // residual-miss groups to the degraded path before they can touch
+        // the accounting identity.
         let mut decided: Vec<Option<ModeCombination>> = vec![None; groups.len()];
         let mut timed_out: Vec<bool> = vec![false; groups.len()];
         let mut timed_out_members: u64 = 0;
@@ -875,7 +927,7 @@ impl FleetEngine {
         let mut group_watts: Vec<f64> = vec![0.0; if track_power { groups.len() } else { 0 }];
         for (g, group) in groups.iter().enumerate() {
             let leader = &batch[accepted[group.leader]];
-            if let Some(combo) = self.cache.get(&group.key) {
+            if let Some(combo) = self.cache.get(&problems[group.problem].key, leader.budget) {
                 self.stats.cache_hits += 1;
                 self.stats.dedup_hits += group.size - 1;
                 avoided_this_tick += group.size;
@@ -926,8 +978,12 @@ impl FleetEngine {
         for ((&g, leader), (combo, micros)) in misses.iter().zip(&miss_leaders).zip(solved) {
             self.stats.unique_solves += 1;
             self.stats.solver_us_spent += micros;
-            self.cache
-                .insert(std::mem::take(&mut groups[g].key), combo.clone());
+            self.cache.insert(
+                &problems[groups[g].problem].key,
+                &leader.matrices,
+                leader.budget,
+                combo.clone(),
+            );
             if track_power {
                 group_watts[g] = leader.matrices.chip_power(&combo).value();
             }
@@ -1382,10 +1438,16 @@ fn config_fingerprint(config: &FleetConfig) -> u64 {
     hash
 }
 
+/// Whether `report` is answered by the flat exact solver, which is what
+/// lets its cache key leave the budget out.
+fn solved_exactly(config: &FleetConfig, report: &NodeTelemetry) -> bool {
+    report.matrices.cores() <= config.flat_core_limit
+}
+
 /// The fleet's solver dispatch: flat exact branch-and-bound up to the
 /// configured width, the two-level hierarchical policy above it.
 fn solve_report(config: &FleetConfig, report: &NodeTelemetry) -> ModeCombination {
-    if report.matrices.cores() <= config.flat_core_limit {
+    if solved_exactly(config, report) {
         solver::solve(
             &report.matrices,
             &report.current,
@@ -2064,7 +2126,8 @@ mod tests {
         // match exactly; solve timing is wall-clock and excluded.
         let (rs, es) = (restored.cache().snapshot(), reference.cache().snapshot());
         assert_eq!(
-            rs.entries, es.entries,
+            (rs.problems, rs.answers),
+            (es.problems, es.answers),
             "cache state diverged across restore"
         );
         assert_eq!(rs.counters, es.counters);

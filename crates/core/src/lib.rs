@@ -88,7 +88,7 @@ pub use matrices::PowerBipsMatrices;
 pub use metrics::{throughput_degradation, weighted_slowdown, weighted_speedup_slowdown};
 pub use policy::solver;
 pub use policy::{
-    cluster_budgets, CacheConfig, CacheCounters, CacheSnapshot, CachedMaxBips, ChipWide, Constant,
-    DecisionCache, GreedyMaxBips, HierMaxBips, MaxBips, MinPower, Oracle, Policy, PolicyContext,
-    Priority, PullHiPushLo, ThermalGuard,
+    cluster_budgets, CacheConfig, CacheCounters, CacheSnapshot, CachedAnswer, CachedMaxBips,
+    ChipWide, Constant, DecisionCache, GreedyMaxBips, HierMaxBips, MaxBips, MinPower, Oracle,
+    Policy, PolicyContext, Priority, PullHiPushLo, ThermalGuard,
 };

@@ -18,7 +18,9 @@ mod pullhipushlo;
 pub mod solver;
 mod thermal_guard;
 
-pub use cache::{CacheConfig, CacheCounters, CacheSnapshot, CachedMaxBips, DecisionCache};
+pub use cache::{
+    CacheConfig, CacheCounters, CacheSnapshot, CachedAnswer, CachedMaxBips, DecisionCache,
+};
 pub use chipwide::ChipWide;
 pub use constant::Constant;
 pub use greedy::GreedyMaxBips;

@@ -324,22 +324,6 @@ pub fn wide(ctx: &ExperimentContext, core_counts: &[usize]) -> Result<WideScalin
 }
 
 impl WideScaling {
-    /// Mean throughput the greedy heuristic gives up against the exact
-    /// argmax, across all panels and budgets.
-    #[must_use]
-    pub fn mean_greedy_gap(&self) -> f64 {
-        let rows: Vec<f64> = self
-            .panels
-            .iter()
-            .flat_map(|p| p.rows.iter().map(WideRow::greedy_gap))
-            .collect();
-        if rows.is_empty() {
-            0.0
-        } else {
-            rows.iter().sum::<f64>() / rows.len() as f64
-        }
-    }
-
     /// Paper-style text rendering: one block per core count.
     #[must_use]
     pub fn render(&self) -> String {

@@ -640,12 +640,6 @@ impl CoreModel {
     pub fn l1d(&self) -> &SetAssocCache {
         &self.engine.l1d
     }
-
-    /// The private memory subsystem (for diagnostics).
-    #[must_use]
-    pub fn private_memory(&self) -> &PrivateMemory {
-        &self.memory
-    }
 }
 
 impl Engine {

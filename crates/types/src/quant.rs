@@ -115,6 +115,13 @@ impl QuantizedKey {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// The 64-bit fingerprint of [`words`](Self::words), computed once
+    /// when the key was built.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
 }
 
 impl Default for QuantizedKey {

@@ -25,7 +25,7 @@ use gpm::core::{
     NodeTelemetry, PowerBipsMatrices, RackConfig,
 };
 use gpm::faults::{CorruptField, FleetFaultKind, FleetFaultPlan, IntervalWindow, NodeSet};
-use gpm::types::{ModeCombination, PowerMode, Watts};
+use gpm::types::{GpmError, ModeCombination, PowerMode, Watts};
 use proptest::prelude::*;
 
 /// `gpm::par::set_max_threads` is a process-global override; tests that
@@ -339,8 +339,9 @@ fn checkpoint_restore_is_bit_identical_across_widths() {
             "stats diverged across restore at width {width}"
         );
         assert_eq!(
-            snapshot.entries, reference.2.entries,
-            "cache entries/recency diverged across restore at width {width}"
+            (&snapshot.problems, &snapshot.answers),
+            (&reference.2.problems, &reference.2.answers),
+            "cache answers/recency diverged across restore at width {width}"
         );
     }
 }
@@ -407,7 +408,9 @@ fn without_wall_clock(json: &str) -> String {
 
 /// The serialized checkpoint format is a restart contract: its JSON after
 /// a fixed few ticks (wall-clock fields zeroed) is pinned byte for byte,
-/// so no in-memory key detail can leak into it.
+/// so no in-memory key detail can leak into it. Pinned at layout
+/// version 2, where the cache lists each problem key once and every
+/// answer with the budget range it is exact for.
 #[test]
 fn checkpoint_json_matches_golden_digest() {
     let config = FleetConfig {
@@ -421,9 +424,34 @@ fn checkpoint_json_matches_golden_digest() {
     assert!(json.contains("\"words\":["), "keys serialize as word lists");
     assert_eq!(
         fnv1a(json.as_bytes()),
-        0x6f68_e698_ba10_797e,
+        0x68ea_20b8_1b6e_5ab5,
         "checkpoint JSON drifted"
     );
+}
+
+/// A version-1 checkpoint, written by the engine before cached answers
+/// carried budget ranges: one one-core node after one tick under the
+/// default configuration (wall-clock fields zeroed).
+const V1_CHECKPOINT: &str = r#"{"version":1,"config_fingerprint":7908314972348569418,"next_tick":1,"stats":{"decisions_total":1,"cache_hits":0,"dedup_hits":0,"unique_solves":1,"dropped_stale":0,"dropped_dark":0,"rejected_backpressure":0,"rejected_invalid":0,"fallback_decisions":0,"solver_timeouts":0,"flap_drops":0,"skew_delayed":0,"corrupted_reports":0,"shed_clamps":0,"rack_violation_ticks":0,"watchdog_clamp_ticks":0,"longest_rack_violation_run":0,"worst_rack_overshoot_watts":0,"solver_us_spent":0,"solver_us_saved":0},"cache":{"entries":[[{"words":[1,4626322717216342016,4622945017495814144,4619567317775286272,4611686018427387904,4610334938539176755,4608983858650965606,0,4624633867356078080,4647503709213818880,4608533498688228557,4741671816366391296,4576918229304087675]},{"modes":["Eff1"]}]],"counters":{"decisions_total":0,"cache_hits":0,"dedup_hits":0,"solver_us_saved":0},"solve_us_total":0,"solve_count":0},"nodes":[],"rack":{"violation_streak":0,"current_run":0,"clamp_remaining":0,"backoff":0}}"#;
+
+/// A checkpoint of the previous layout is refused by version, with an
+/// error that names it, rather than half-parsed or misread.
+#[test]
+fn version_one_checkpoint_is_refused_by_name() {
+    let err = FleetCheckpoint::from_json(V1_CHECKPOINT).expect_err("v1 must be refused");
+    match err {
+        GpmError::InvalidConfig { parameter, reason } => {
+            assert_eq!(parameter, "fleet.checkpoint");
+            assert!(reason.contains("version 1"), "{reason}");
+            assert!(reason.contains("version 2"), "{reason}");
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+    // The current layout still round-trips.
+    let engine = FleetEngine::new(FleetConfig::default()).expect("valid config");
+    let json = engine.checkpoint().to_json();
+    assert!(json.starts_with("{\"version\":2,"), "{json}");
+    assert!(FleetCheckpoint::from_json(&json).is_ok());
 }
 
 /// A restored engine answers its next tick from the cache exactly like

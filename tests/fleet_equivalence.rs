@@ -3,7 +3,7 @@
 //! single solves, for full manager runs, and for the fleet engine's batched
 //! tick protocol — and none of it depends on the worker-pool width.
 //!
-//! Four guards pin the fleet-mode engine:
+//! Five guards pin the fleet-mode engine:
 //!
 //! 1. Memoized solves match `solver::solve` exactly (propcheck, repeated
 //!    queries audited by `verify_hits`).
@@ -14,13 +14,17 @@
 //! 4. LRU eviction and within-tick dedup are deterministic: same access
 //!    sequence, same evictions; decisions always return in submission
 //!    order with followers bit-identical to their group leader.
+//! 5. One budget-free key answers a range of budgets exactly: every hit
+//!    inside a stored range equals a fresh solve, the stored ranges do not
+//!    depend on the order budgets arrive in, and a problem with a NaN cell
+//!    gets no widened range.
 
 use std::sync::{Arc, Mutex};
 
 use gpm::cmp::{SimParams, TraceCmpSim};
 use gpm::core::{
     solver, BudgetSchedule, CacheConfig, CachedMaxBips, DecisionCache, FleetConfig, FleetEngine,
-    GlobalManager, MaxBips, NodeTelemetry, PowerBipsMatrices,
+    GlobalManager, MaxBips, NodeTelemetry, Policy, PolicyContext, PowerBipsMatrices,
 };
 use gpm::power::DvfsParams;
 use gpm::trace::{BenchmarkTraces, ModeTrace, TraceSample};
@@ -91,6 +95,168 @@ proptest! {
         prop_assert_eq!(c.decisions_total, 2);
         prop_assert_eq!(c.cache_hits, 1);
     }
+}
+
+/// One core's generated (power, BIPS) cells, Turbo/Eff1/Eff2 each.
+type CoreRow = ((f64, f64, f64), (f64, f64, f64));
+
+/// A random `rows`-shaped problem: its matrices, a current mode vector
+/// drawn from `seed` and the all-Turbo power the budgets scale against.
+fn random_problem(rows: &[CoreRow], seed: u64) -> (PowerBipsMatrices, ModeCombination, f64) {
+    let power: Vec<[f64; 3]> = rows.iter().map(|&((a, b, c), _)| [a, b, c]).collect();
+    let bips: Vec<[f64; 3]> = rows.iter().map(|&(_, (a, b, c))| [a, b, c]).collect();
+    let turbo: f64 = power.iter().map(|r| r[0]).sum();
+    let current: ModeCombination = (0..rows.len())
+        .map(|c| PowerMode::ALL[(seed >> (2 * c)) as usize % 3])
+        .collect();
+    (PowerBipsMatrices::from_rows(power, bips), current, turbo)
+}
+
+/// The `(lo, hi)` budget range of every ranged answer in `cache`, sorted.
+fn stored_ranges(cache: &DecisionCache) -> Vec<(f64, f64)> {
+    let mut ranges: Vec<(f64, f64)> = cache
+        .snapshot()
+        .answers
+        .iter()
+        .filter_map(|a| Some((a.lo.unwrap_or(f64::NEG_INFINITY), a.hi?)))
+        .collect();
+    ranges.sort_by(|a, b| a.0.total_cmp(&b.0));
+    ranges
+}
+
+/// Row generator for the 8–16-core budget-interval properties.
+fn wide_rows() -> impl Strategy<Value = Vec<CoreRow>> {
+    prop::collection::vec(
+        (
+            (8.0f64..30.0, 4.0f64..16.0, 2.0f64..9.0),
+            (0.1f64..3.0, 0.05f64..2.5, 0.02f64..2.0),
+        ),
+        8..=16,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One budget-free key answers a whole budget sequence — repeats, a
+    /// Figure-6-style 90% → 70% drop, random draws, then draws inside
+    /// and between the ranges the cache stored — and every answer, hit
+    /// or miss, is exactly the uncached solver's (hits are also audited
+    /// by `verify_hits`).
+    #[test]
+    fn budget_interval_hits_match_the_solver(
+        rows in wide_rows(),
+        fractions in prop::collection::vec(0.2f64..1.1, 1..16),
+        picks in prop::collection::vec((0usize..64, 0.0f64..=1.0), 1..16),
+        seed in any::<u64>(),
+    ) {
+        let (dvfs, explore) = paper_ctx();
+        let (m, current, turbo) = random_problem(&rows, seed);
+        let mut cache = exact_verifying_cache(4096);
+        let ask = |cache: &mut DecisionCache, budget: f64| {
+            let budget = Watts::new(budget);
+            let got = cache.solve(&m, &current, budget, &dvfs, explore);
+            let want = solver::solve(&m, &current, budget, &dvfs, explore);
+            prop_assert_eq!(got, want, "budget {} diverged", budget.value());
+        };
+        let drop = [0.9, 0.9, 0.7, 0.7, 0.9, 0.7];
+        for &f in fractions.iter().chain(&fractions).chain(&drop) {
+            ask(&mut cache, f * turbo);
+        }
+        for &(pick, u) in &picks {
+            let ranges = stored_ranges(&cache);
+            let (lo, hi) = ranges[pick % ranges.len()];
+            let lo = if lo.is_finite() { lo } else { 0.2 * turbo };
+            // Inside a stored range, then between it and the next one.
+            ask(&mut cache, lo + u * (hi - lo));
+            if let Some(&(next_lo, _)) = ranges.get(pick % ranges.len() + 1) {
+                ask(&mut cache, hi + u * (next_lo - hi));
+            }
+        }
+        let c = cache.counters();
+        prop_assert!(c.cache_hits > 0, "repeats must hit");
+    }
+
+    /// The stored answers and every later answer are independent of the
+    /// order budgets arrive in: two caches fed the same budgets in
+    /// opposite orders hold the same ranges and answer alike.
+    #[test]
+    fn budget_order_does_not_change_answers(
+        rows in wide_rows(),
+        fractions in prop::collection::vec(0.2f64..1.1, 2..16),
+        probes in prop::collection::vec(0.15f64..1.15, 1..16),
+        seed in any::<u64>(),
+    ) {
+        let (dvfs, explore) = paper_ctx();
+        let (m, current, turbo) = random_problem(&rows, seed);
+        let (mut forward, mut backward) = (exact_verifying_cache(4096), exact_verifying_cache(4096));
+        for &f in &fractions {
+            forward.solve(&m, &current, Watts::new(f * turbo), &dvfs, explore);
+        }
+        for &f in fractions.iter().rev() {
+            backward.solve(&m, &current, Watts::new(f * turbo), &dvfs, explore);
+        }
+        prop_assert_eq!(stored_ranges(&forward), stored_ranges(&backward));
+        let hits_before = (forward.counters().cache_hits, backward.counters().cache_hits);
+        for &f in &probes {
+            let budget = Watts::new(f * turbo);
+            let a = forward.solve(&m, &current, budget, &dvfs, explore);
+            let b = backward.solve(&m, &current, budget, &dvfs, explore);
+            prop_assert_eq!(&a, &b);
+            prop_assert_eq!(a, solver::solve(&m, &current, budget, &dvfs, explore));
+        }
+        prop_assert_eq!(
+            forward.counters().cache_hits - hits_before.0,
+            backward.counters().cache_hits - hits_before.1,
+            "the same ranges answer the same probes"
+        );
+    }
+}
+
+/// A NaN cell can make an objective NaN, and then the scan's first strict
+/// maximum depends on which candidates remain: `CachedMaxBips` must not
+/// widen such a problem's answer to any budget but its own.
+#[test]
+fn nan_cell_problem_gets_no_widened_range() {
+    let (dvfs, explore) = paper_ctx();
+    let matrices = PowerBipsMatrices::from_rows(
+        vec![[20.0, 12.0, 7.0], [18.0, 11.0, 6.5]],
+        vec![[2.0, f64::NAN, 1.4], [1.5, 1.3, 1.1]],
+    );
+    let current = ModeCombination::uniform(2, PowerMode::Turbo);
+    let mut policy = CachedMaxBips::with_config(CacheConfig {
+        verify_hits: true,
+        ..CacheConfig::default()
+    })
+    .unwrap();
+    for budget in [40.0, 39.0, 35.0, 31.0, 30.0, 40.0] {
+        let ctx = PolicyContext {
+            current_modes: &current,
+            matrices: &matrices,
+            future: None,
+            budget: Watts::new(budget),
+            dvfs: &dvfs,
+            explore,
+        };
+        let got = policy.decide(&ctx);
+        let want = solver::solve(&matrices, &current, Watts::new(budget), &dvfs, explore);
+        assert_eq!(got, want, "budget {budget}");
+    }
+    let cache = policy.cache();
+    assert_eq!(
+        cache.counters().cache_hits,
+        1,
+        "only the exact repeat of 40 W may hit"
+    );
+    assert_eq!(cache.len(), 5, "one answer per budget asked");
+    let snapshot = cache.snapshot();
+    assert!(
+        snapshot
+            .answers
+            .iter()
+            .all(|a| a.lo.is_some() && a.lo == a.hi),
+        "every answer must hold at its own budget only"
+    );
 }
 
 /// Synthetic constant-rate trace set (no capture needed): linear BIPS
@@ -350,8 +516,8 @@ fn lru_eviction_is_deterministic_and_recency_driven() {
             &dvfs,
             explore,
         );
-        let hit0 = cache.get(&key0).is_some();
-        let hit1 = cache.get(&key1).is_some();
+        let hit0 = cache.get(&key0, problems[0].budget).is_some();
+        let hit1 = cache.get(&key1, problems[1].budget).is_some();
         assert!(hit0, "promoted key must survive the eviction");
         assert!(!hit1, "least-recently-used key must be the victim");
         cache.counters()
