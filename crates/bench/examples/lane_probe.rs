@@ -41,7 +41,6 @@ fn main() {
     for (label, lanes) in [("batch_1lane: ", 1usize), ("batch_8lane: ", 8)] {
         let freqs = vec![freq; lanes];
         let mut batch = LaneBatch::new(&config, &freqs).unwrap();
-        batch.set_chunk_ops(usize::MAX);
         let mut sources: Vec<_> = benches[..lanes].iter().map(|b| b.stream()).collect();
         let mut memories: Vec<_> = (0..lanes)
             .map(|_| PrivateMemory::new(&config).unwrap())

@@ -155,16 +155,9 @@ impl Cluster {
         acct: Vec<LaneAccounting>,
     ) -> Result<Self> {
         let freqs: Vec<Hertz> = acct.iter().map(|a| a.freq).collect();
-        let mut batch = LaneBatch::new(core_config, &freqs)?;
-        // Each core replays its own generator — no shared tape to stay
-        // close on — so round-robin interleaving buys nothing and only
-        // cycles N lanes' simulated state through the host cache. Run
-        // each lane straight through its quantum instead (chunk size
-        // never affects simulated results).
-        batch.set_chunk_ops(usize::MAX);
         let lanes = acct.len();
         Ok(Self {
-            batch,
+            batch: LaneBatch::new(core_config, &freqs)?,
             streams,
             deferred: (0..lanes)
                 .map(|_| DeferredL2::new(shared_config.l2_latency_ns))

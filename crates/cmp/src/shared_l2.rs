@@ -8,11 +8,10 @@
 //!   request.
 //! * [`L2Bus`] — the bandwidth model: windowed M/D/1 queue accounting.
 //!
-//! [`SharedL2`] composes the two and serves both the inline path (a core
-//! calling through [`MemorySubsystem`]) and the replay path
-//! ([`SharedL2::replay_access`]) with identical arithmetic.
+//! [`SharedL2`] composes the two and serves each request of the replay path
+//! through [`SharedL2::replay_access`].
 
-use gpm_microarch::{AccessOutcome, CacheConfig, MemorySubsystem, SetAssocCache};
+use gpm_microarch::{AccessOutcome, CacheConfig, SetAssocCache};
 use serde::{Deserialize, Serialize};
 
 use crate::L2Bus;
@@ -123,15 +122,14 @@ impl SharedL2 {
         self.lookup.cache()
     }
 
-    /// Total accesses served (inline and replayed).
+    /// Total accesses served.
     #[must_use]
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
 
-    /// Serves one request — the single arbitration point shared by the
-    /// inline [`MemorySubsystem`] path and the phase-2 replay of deferred
-    /// request logs. Returns `(total_latency_ns, l2_hit)` where the total
+    /// Serves one request — the single arbitration point of the phase-2
+    /// replay of deferred request logs. Returns `(total_latency_ns, l2_hit)` where the total
     /// includes the current window's queueing delay.
     #[inline]
     pub fn replay_access(&mut self, addr: u64) -> (f64, bool) {
@@ -177,12 +175,6 @@ impl Default for SharedL2 {
     }
 }
 
-impl MemorySubsystem for SharedL2 {
-    fn access(&mut self, addr: u64, _now_ns: f64) -> (f64, bool) {
-        self.replay_access(addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,27 +182,12 @@ mod tests {
     #[test]
     fn hit_and_miss_latencies() {
         let mut l2 = SharedL2::default();
-        let (lat_miss, hit) = l2.access(0x1000, 0.0);
+        let (lat_miss, hit) = l2.replay_access(0x1000);
         assert!(!hit);
         assert!((lat_miss - 86.0).abs() < 1e-9);
-        let (lat_hit, hit) = l2.access(0x1000, 0.0);
+        let (lat_hit, hit) = l2.replay_access(0x1000);
         assert!(hit);
         assert!((lat_hit - 9.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn replay_matches_inline_access() {
-        let mut inline = SharedL2::default();
-        let mut replayed = SharedL2::default();
-        for i in 0..5000u64 {
-            let addr = (i * 977) % (4 * 1024 * 1024);
-            assert_eq!(inline.access(addr, 0.0), replayed.replay_access(addr));
-            if i % 1000 == 999 {
-                inline.end_window(5000.0);
-                replayed.end_window(5000.0);
-            }
-        }
-        assert_eq!(inline.accesses(), replayed.accesses());
     }
 
     #[test]
@@ -218,13 +195,13 @@ mod tests {
         let mut l2 = SharedL2::default();
         // 1000 accesses × 2 ns in a 5000 ns window: ρ = 0.4.
         for i in 0..1000 {
-            let _ = l2.access(i * 128, 0.0);
+            let _ = l2.replay_access(i * 128);
         }
         l2.end_window(5000.0);
         assert!((l2.average_utilization() - 0.4).abs() < 1e-9);
         // M/D/1 wait: 2 × 0.4 / (2 × 0.6) = 0.666… ns.
         assert!((l2.current_queue_ns() - 2.0 * 0.4 / 1.2).abs() < 1e-9);
-        let (lat, _) = l2.access(0xdead_0000, 0.0);
+        let (lat, _) = l2.replay_access(0xdead_0000);
         assert!(lat > 86.0, "queue delay charged: {lat}");
     }
 
@@ -241,7 +218,7 @@ mod tests {
         let mut l2 = SharedL2::default();
         for _ in 0..10 {
             for i in 0..100_000u64 {
-                let _ = l2.access(i * 128, 0.0);
+                let _ = l2.replay_access(i * 128);
             }
             l2.end_window(5000.0); // demand 40× capacity
         }
@@ -259,8 +236,8 @@ mod tests {
         let mut misses_second_round = 0;
         for round in 0..2 {
             for i in 0..lines {
-                let (_, hit_a) = l2.access(i * 128, 0.0);
-                let (_, hit_b) = l2.access(0x1000_0000 + i * 128, 0.0);
+                let (_, hit_a) = l2.replay_access(i * 128);
+                let (_, hit_b) = l2.replay_access(0x1000_0000 + i * 128);
                 if round == 1 {
                     misses_second_round += u64::from(!hit_a) + u64::from(!hit_b);
                 }

@@ -105,8 +105,8 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 /// answered by the exact branch-and-bound in [`solver`] — bit-identical to
 /// the scan (same combination, same tie-breaking) at a small fraction of
 /// the candidates, which is what makes 16- and 32-way decisions tractable.
-/// The literal scan survives as [`solver::exhaustive`] /
-/// [`solver::exhaustive_chunked`] for equivalence tests and baselines.
+/// The literal scan survives as [`solver::exhaustive`], the reference for
+/// equivalence tests and the bench baseline.
 pub(crate) fn best_under_budget(
     matrices: &PowerBipsMatrices,
     current: &ModeCombination,

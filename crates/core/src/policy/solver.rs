@@ -254,57 +254,6 @@ pub fn exhaustive(
     )
 }
 
-/// The parallel arm of the exhaustive scan: rank-range chunks walked by
-/// per-chunk odometers on the worker pool (no 3^N materialisation), merged
-/// as chunk-local first-maxima in enumeration order — bit-identical to the
-/// serial scan for any pool width.
-#[must_use]
-pub fn exhaustive_chunked(
-    matrices: &PowerBipsMatrices,
-    current: &ModeCombination,
-    budget: Watts,
-    dvfs: &DvfsParams,
-    explore: Micros,
-    threads: usize,
-) -> ModeCombination {
-    let cores = matrices.cores();
-    let total = 3usize.checked_pow(cores as u32).expect("3^cores overflow");
-    let chunk = total.div_ceil(threads.saturating_mul(4)).max(1);
-    let ranges: Vec<(usize, usize)> = (0..total)
-        .step_by(chunk)
-        .map(|start| (start, (start + chunk).min(total)))
-        .collect();
-    let locals = gpm_par::parallel_map(&ranges, |&(start, end)| {
-        let mut odo = ModeOdometer::from_rank(cores, start);
-        let mut best: Option<(f64, ModeCombination)> = None;
-        for _ in start..end {
-            let combo = odo.current();
-            if matrices.chip_power(combo) > budget {
-                odo.advance();
-                continue;
-            }
-            let bips = matrices
-                .chip_bips_with_transition(current, combo, dvfs, explore)
-                .value();
-            if best.as_ref().is_none_or(|(b, _)| bips > *b) {
-                best = Some((bips, combo.clone()));
-            }
-            odo.advance();
-        }
-        best
-    });
-    let mut best: Option<(f64, ModeCombination)> = None;
-    for (bips, combo) in locals.into_iter().flatten() {
-        if best.as_ref().is_none_or(|(b, _)| bips > *b) {
-            best = Some((bips, combo));
-        }
-    }
-    best.map_or_else(
-        || ModeCombination::uniform(cores, PowerMode::Eff2),
-        |(_, combo)| combo,
-    )
-}
-
 /// One core's prediction row, placed at its search depth.
 struct Row {
     power: [f64; PowerMode::COUNT],
@@ -731,20 +680,5 @@ mod tests {
             "16-way search visited {} nodes",
             stats.nodes
         );
-    }
-
-    #[test]
-    fn chunked_exhaustive_matches_serial() {
-        let m = matrices(&[(20.0, 2.0), (10.0, 0.4), (15.0, 1.1), (12.0, 1.7)]);
-        let current = ModeCombination::uniform(4, PowerMode::Turbo);
-        let (dvfs, explore) = paper_ctx();
-        for budget in [20.0, 40.0, 57.0] {
-            let budget = Watts::new(budget);
-            let serial = exhaustive(&m, &current, budget, &dvfs, explore);
-            for threads in [1, 2, 8] {
-                let chunked = exhaustive_chunked(&m, &current, budget, &dvfs, explore, threads);
-                assert_eq!(chunked, serial, "threads {threads}");
-            }
-        }
     }
 }

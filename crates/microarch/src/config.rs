@@ -246,9 +246,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_predictor() {
-        // A degenerate predictor table used to slip through validation and
-        // panic deep inside `BranchPredictor::new`; it must surface as a
-        // typed configuration error instead.
+        // A degenerate predictor table must surface as a typed
+        // configuration error from validation, before any core is built.
         let mut c = CoreConfig::power4();
         c.predictor.bimodal_entries = 1000;
         assert!(matches!(

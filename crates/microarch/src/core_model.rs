@@ -4,22 +4,25 @@
 //!
 //! # Hot-path structure
 //!
-//! Every experiment in the workspace funnels through [`CoreModel::step`]'s
-//! per-instruction loop, so this module is written for raw simulation
-//! throughput while keeping results bit-identical across delivery and
-//! dispatch strategies:
+//! A core's complete stepping state is one [`Engine`]: [`CoreModel`] is an
+//! engine plus a [`PrivateMemory`], and a [`LaneBatch`](crate::LaneBatch)
+//! holds N engines. Every experiment in the workspace funnels through
+//! [`Engine::run_burst`]'s per-instruction loop, so this module is written
+//! for raw simulation throughput while keeping results bit-identical across
+//! delivery and dispatch strategies:
 //!
 //! * **Batched instruction delivery** — ops are pulled from the
 //!   [`InstructionSource`] in blocks (via
 //!   [`fill_ops`](InstructionSource::fill_ops)) into a reusable buffer, so a
 //!   boxed/dynamic source pays one virtual call per block instead of one per
-//!   op. Unconsumed ops carry over between `run_*` calls; callers that swap
-//!   sources mid-run must call [`CoreModel::discard_pending_ops`].
-//! * **Monomorphized memory path** — `run_cycles_with` and the internal
-//!   stepping are generic over `M: MemorySubsystem + ?Sized`, so the
-//!   private-L2 common case ([`PrivateMemory`]) inlines completely; dynamic
-//!   users keep working through the `&mut dyn MemorySubsystem` blanket impl
-//!   (see [`CoreModel::run_cycles_dyn`]).
+//!   op; a memory-backed source lends its storage instead
+//!   ([`borrow_ops`](InstructionSource::borrow_ops)) and is stepped without a
+//!   copy. Unconsumed buffered ops carry over between `run_*` calls; callers
+//!   that swap sources mid-run must call [`CoreModel::discard_pending_ops`].
+//! * **Monomorphized memory path** — `run_burst` is generic over
+//!   `M: MemorySubsystem + ?Sized`, so the private-L2 common case
+//!   ([`PrivateMemory`]) and the full-CMP recording L2
+//!   ([`DeferredL2`](crate::DeferredL2)) inline completely.
 //! * **No per-op division or float math** — the ROB ring is walked with a
 //!   wrapping cursor instead of `%`, functional-unit arbitration is an O(1)
 //!   scan specialised for the paper's 1- and 2-unit classes, and ns→cycles
@@ -28,16 +31,14 @@
 
 use gpm_types::{GpmError, Hertz, Result};
 
-use crate::branch::PredictorLaneView;
-use crate::cache::CacheLaneView;
 use crate::{
     AccessOutcome, BranchPredictor, CoreConfig, InstructionSource, IntervalStats, MicroOp, OpKind,
     SetAssocCache, StreamPrefetcher,
 };
 
 /// Number of micro-ops fetched from an [`InstructionSource`] per refill of
-/// the core's delivery buffer.
-pub(crate) const OP_BATCH: usize = 256;
+/// the core's delivery buffer, and the most a borrowed block may hold.
+const OP_BATCH: usize = 256;
 
 /// The level of the hierarchy *below* the core's private L1s.
 ///
@@ -108,12 +109,6 @@ impl PrivateMemory {
             memory_latency_ns: config.memory.memory_latency_ns,
         })
     }
-
-    /// Read-only view of the L2 tag array (for tests and diagnostics).
-    #[must_use]
-    pub fn l2(&self) -> &SetAssocCache {
-        &self.l2
-    }
 }
 
 impl MemorySubsystem for PrivateMemory {
@@ -135,36 +130,107 @@ enum FuClass {
     Bru,
 }
 
-/// The static (per-configuration) half of the stepping state: every latency
-/// and geometry parameter [`StepLane::step_op`] reads. One instance is
-/// shared by all lanes of a [`LaneBatch`](crate::LaneBatch) and owned
-/// per-core by the scalar [`Engine`].
+/// One core at a concrete clock frequency: its caches, branch predictor,
+/// prefetcher, scoreboard, ns→cycles memo and op delivery buffer — every
+/// piece of state stepping reads or writes except the memory below the L1s.
+///
+/// This is the only definition of a core. [`CoreModel`] owns one next to a
+/// [`PrivateMemory`]; [`LaneBatch`](crate::LaneBatch) owns one per lane.
+/// Keeping the memory subsystem outside lets stepping borrow the engine and
+/// any [`MemorySubsystem`] at the same time.
 #[derive(Debug, Clone)]
-pub(crate) struct StepParams {
-    pub(crate) dispatch_width: u32,
-    pub(crate) rob_size: usize,
-    pub(crate) fxu_latency: u64,
-    pub(crate) fpu_latency: u64,
-    pub(crate) mispredict_penalty: u64,
-    pub(crate) l1_latency: u64,
-    pub(crate) load_use_penalty: u64,
-    pub(crate) l1i_block_shift: u32,
-    pub(crate) l1d_block_shift: u32,
-    /// Functional-unit pool boundaries into the flat free-time array:
-    /// class `c` (in [`FuClass`] order LSU, FXU, FPU, BRU) occupies
+pub(crate) struct Engine {
+    // Static configuration (latencies in core cycles).
+    dispatch_width: u32,
+    rob_size: usize,
+    fxu_latency: u64,
+    fpu_latency: u64,
+    mispredict_penalty: u64,
+    l1_latency: u64,
+    load_use_penalty: u64,
+    l1i_block_shift: u32,
+    l1d_block_shift: u32,
+    /// Functional-unit pool boundaries into `fu_free`: class `c` (in
+    /// [`FuClass`] order LSU, FXU, FPU, BRU) occupies
     /// `fu_free[fu_offsets[c]..fu_offsets[c + 1]]`.
-    pub(crate) fu_offsets: [usize; 5],
+    fu_offsets: [usize; 5],
+    freq: Hertz,
+    ns_per_cycle: f64,
+
+    // Microarchitectural structures.
+    l1i: SetAssocCache,
+    l1d: SetAssocCache,
+    predictor: BranchPredictor,
+    prefetcher: Option<StreamPrefetcher>,
+
+    // Scoreboard state.
+    cur_cycle: u64,
+    dispatched_in_cycle: u32,
+    last_busy_cycle: u64,
+    busy_cycles: u64,
+    completion_ring: Vec<u64>,
+    op_index: u64,
+    /// `op_index % rob_size`, maintained incrementally (no per-op `%`).
+    rob_slot: usize,
+    /// Per-unit next-free cycles, flat across classes.
+    fu_free: Vec<u64>,
+    last_fetch_block: u64,
+
+    /// Exact-result memo for ns→cycles conversions: the private memory
+    /// system produces only two distinct latencies, so this two-entry
+    /// MRU cache hits almost always. Results are computed by
+    /// [`Hertz::cycles_for_ns`] on miss, so cached conversions are
+    /// bit-identical to uncached ones.
+    ns_cache: [(f64, u64); 2],
+
+    // Batched instruction delivery: ops fetched ahead of execution.
+    op_buf: Vec<MicroOp>,
+    op_buf_pos: usize,
+    op_buf_len: usize,
 }
 
-impl StepParams {
-    pub(crate) fn from_config(config: &CoreConfig) -> Self {
+/// One stepping interval in progress on an [`Engine`]: the statistics
+/// gathered so far, the cycle it ends at, and the counters it is measured
+/// from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment {
+    pub(crate) stats: IntervalStats,
+    pub(crate) end_cycle: u64,
+    start_cycle: u64,
+    busy_start: u64,
+}
+
+impl Engine {
+    /// Builds a cold core at clock frequency `freq`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpmError::InvalidConfig`] if `config` fails
+    /// [`CoreConfig::validate`] or `freq` is not positive.
+    pub(crate) fn new(config: &CoreConfig, freq: Hertz) -> Result<Self> {
+        config.validate()?;
+        if freq.value() <= 0.0 || freq.value().is_nan() {
+            return Err(GpmError::InvalidConfig {
+                parameter: "frequency",
+                reason: format!("must be positive, got {}", freq.value()),
+            });
+        }
+        let prefetcher = if config.prefetch_streams > 0 {
+            Some(StreamPrefetcher::new(
+                config.prefetch_streams,
+                config.l1d.block_bytes,
+            )?)
+        } else {
+            None
+        };
         let (lsu, fxu, fpu, bru) = (
             config.lsu_count,
             config.fxu_count,
             config.fpu_count,
             config.bru_count,
         );
-        Self {
+        let units = lsu + fxu + fpu + bru;
+        Ok(Self {
             dispatch_width: config.dispatch_width,
             rob_size: config.rob_size,
             fxu_latency: config.fxu_latency,
@@ -174,97 +240,203 @@ impl StepParams {
             load_use_penalty: config.load_use_penalty,
             l1i_block_shift: config.l1i.block_bytes.trailing_zeros(),
             l1d_block_shift: config.l1d.block_bytes.trailing_zeros(),
-            fu_offsets: [0, lsu, lsu + fxu, lsu + fxu + fpu, lsu + fxu + fpu + bru],
+            fu_offsets: [0, lsu, lsu + fxu, lsu + fxu + fpu, units],
+            freq,
+            ns_per_cycle: 1.0e9 / freq.value(),
+            l1i: SetAssocCache::new(config.l1i)?,
+            l1d: SetAssocCache::new(config.l1d)?,
+            predictor: BranchPredictor::new(config.predictor)?,
+            prefetcher,
+            cur_cycle: 0,
+            dispatched_in_cycle: 0,
+            last_busy_cycle: u64::MAX,
+            busy_cycles: 0,
+            completion_ring: vec![0; config.rob_size],
+            op_index: 0,
+            rob_slot: 0,
+            fu_free: vec![0; units],
+            last_fetch_block: u64::MAX,
+            ns_cache: [(f64::NAN, 0); 2],
+            op_buf: vec![MicroOp::int_alu(None); OP_BATCH],
+            op_buf_pos: 0,
+            op_buf_len: 0,
+        })
+    }
+
+    /// The clock frequency this core runs at.
+    pub(crate) fn frequency(&self) -> Hertz {
+        self.freq
+    }
+
+    /// Total core cycles elapsed since construction.
+    pub(crate) fn now_cycles(&self) -> u64 {
+        self.cur_cycle
+    }
+
+    /// Drops ops fetched from a source but not yet executed.
+    pub(crate) fn discard_pending_ops(&mut self) {
+        self.op_buf_pos = 0;
+        self.op_buf_len = 0;
+    }
+
+    /// Stalls the core for exactly `cycles` cycles: the clock advances, no
+    /// instructions dispatch, and the cycles count as idle (not busy).
+    pub(crate) fn apply_stall_cycles(&mut self, cycles: u64) {
+        self.cur_cycle += cycles;
+        self.dispatched_in_cycle = 0;
+    }
+
+    /// Opens a segment that ends `cycles` core cycles from now.
+    pub(crate) fn open(&self, cycles: u64) -> Segment {
+        Segment {
+            stats: IntervalStats::default(),
+            end_cycle: self.cur_cycle.saturating_add(cycles),
+            start_cycle: self.cur_cycle,
+            busy_start: self.busy_cycles,
         }
     }
 
-    /// Total functional units per lane (the flat free-time array's length).
-    pub(crate) fn units_total(&self) -> usize {
-        self.fu_offsets[4]
+    /// The statistics of `segment` up to now, cycle counts included.
+    pub(crate) fn close(&self, segment: &Segment) -> IntervalStats {
+        let mut stats = segment.stats;
+        stats.cycles = self.cur_cycle - segment.start_cycle;
+        stats.busy_cycles = self.busy_cycles - segment.busy_start;
+        stats
     }
-}
 
-/// A mutable window onto one lane's complete stepping state.
-///
-/// This is *the* scoreboard implementation: the scalar [`Engine`] builds a
-/// view over its own fields and the SoA [`LaneBatch`](crate::LaneBatch)
-/// builds one over slices of its lane-major arrays, so both paths execute
-/// the identical [`step_op`](Self::step_op) and cannot diverge. Both paths
-/// hoist the view out of their op loops (the scalar engine builds one per
-/// run call, the batch one per chunk): `step_op` is too large to inline, so
-/// a per-op view would be materialised on every call rather than scalarised
-/// away — measured at ~15% of core throughput.
-pub(crate) struct StepLane<'a> {
-    pub(crate) params: &'a StepParams,
-    pub(crate) freq: Hertz,
-    pub(crate) ns_per_cycle: f64,
-    pub(crate) l1i: CacheLaneView<'a>,
-    pub(crate) l1d: CacheLaneView<'a>,
-    pub(crate) predictor: PredictorLaneView<'a>,
-    pub(crate) prefetcher: Option<&'a mut StreamPrefetcher>,
-    pub(crate) cur_cycle: &'a mut u64,
-    pub(crate) dispatched_in_cycle: &'a mut u32,
-    pub(crate) last_busy_cycle: &'a mut u64,
-    pub(crate) busy_cycles: &'a mut u64,
-    pub(crate) completion_ring: &'a mut [u64],
-    pub(crate) op_index: &'a mut u64,
-    pub(crate) rob_slot: &'a mut usize,
-    pub(crate) fu_free: &'a mut [u64],
-    pub(crate) last_fetch_block: &'a mut u64,
-    pub(crate) ns_cache: &'a mut [(f64, u64); 2],
-}
+    /// Steps ops from `source` against `memory` until the clock reaches
+    /// `stop_cycle` (the last op may overshoot it) or `op_budget` ops have
+    /// retired, whichever comes first, adding their events to `stats`.
+    /// Returns the number of ops retired.
+    ///
+    /// The delivery style is probed once per burst (the
+    /// [`InstructionSource`] contract requires a consistent answer): a
+    /// source that lends blocks is stepped straight out of its storage, any
+    /// other through the engine's delivery buffer. Results never depend on
+    /// where a burst is cut, so callers may split a run into bursts freely.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source violates the [`InstructionSource::fill_ops`]
+    /// contract.
+    pub(crate) fn run_burst<S, M>(
+        &mut self,
+        source: &mut S,
+        memory: &mut M,
+        stats: &mut IntervalStats,
+        stop_cycle: u64,
+        op_budget: u64,
+    ) -> u64
+    where
+        S: InstructionSource + ?Sized,
+        M: MemorySubsystem + ?Sized,
+    {
+        let mut left = op_budget;
+        if source.borrow_ops(1).is_some() {
+            while self.cur_cycle < stop_cycle && left > 0 {
+                let Some(block) = source.borrow_ops(left.min(OP_BATCH as u64) as usize) else {
+                    debug_assert!(false, "source stopped serving borrowed blocks mid-run");
+                    break;
+                };
+                let mut used = 0;
+                while used < block.len() && self.cur_cycle < stop_cycle {
+                    self.step_op(block[used], memory, stats);
+                    used += 1;
+                }
+                source.consume_ops(used);
+                left -= used as u64;
+            }
+        } else {
+            while self.cur_cycle < stop_cycle && left > 0 {
+                if self.op_buf_pos == self.op_buf_len {
+                    self.op_buf_len = source.fill_ops(&mut self.op_buf);
+                    assert!(
+                        self.op_buf_len > 0 && self.op_buf_len <= OP_BATCH,
+                        "InstructionSource::fill_ops must deliver 1..=buf.len() ops"
+                    );
+                    self.op_buf_pos = 0;
+                }
+                let op = self.op_buf[self.op_buf_pos];
+                self.op_buf_pos += 1;
+                self.step_op(op, memory, stats);
+                left -= 1;
+            }
+        }
+        op_budget - left
+    }
 
-impl StepLane<'_> {
+    /// One complete interval: [`run_burst`](Self::run_burst) bracketed by
+    /// a segment of `cycles` cycles.
+    fn run<S, M>(
+        &mut self,
+        source: &mut S,
+        memory: &mut M,
+        cycles: u64,
+        op_budget: u64,
+    ) -> IntervalStats
+    where
+        S: InstructionSource + ?Sized,
+        M: MemorySubsystem + ?Sized,
+    {
+        let mut segment = self.open(cycles);
+        self.run_burst(
+            source,
+            memory,
+            &mut segment.stats,
+            segment.end_cycle,
+            op_budget,
+        );
+        self.close(&segment)
+    }
+
     /// Advances the scoreboard by one micro-op.
     ///
-    /// Force-inlined: there are exactly three monomorphic call sites (the
-    /// scalar engine's two run loops and the lane kernel's chunk loop), and
-    /// inlining lets the view's reference fields resolve to the caller's
-    /// storage — the scalar path then compiles to the same direct field
-    /// access it had before the view extraction.
+    /// Force-inlined into the two delivery loops of
+    /// [`run_burst`](Self::run_burst), so each loop keeps the hot fields in
+    /// registers instead of paying a call per op.
     #[inline(always)]
-    pub(crate) fn step_op<M: MemorySubsystem + ?Sized>(
+    fn step_op<M: MemorySubsystem + ?Sized>(
         &mut self,
         op: MicroOp,
         memory: &mut M,
         stats: &mut IntervalStats,
     ) {
         // --- Instruction fetch: one L1I access per new code block. ---
-        let fetch_block = op.code_addr >> self.params.l1i_block_shift;
-        if fetch_block != *self.last_fetch_block {
-            *self.last_fetch_block = fetch_block;
+        let fetch_block = op.code_addr >> self.l1i_block_shift;
+        if fetch_block != self.last_fetch_block {
+            self.last_fetch_block = fetch_block;
             stats.l1i_accesses += 1;
             if self.l1i.access(op.code_addr).is_miss() {
                 stats.l1i_misses += 1;
-                let now_ns = *self.cur_cycle as f64 * self.ns_per_cycle;
+                let now_ns = self.cur_cycle as f64 * self.ns_per_cycle;
                 let (lat_ns, l2_hit) = memory.access_kind(op.code_addr, now_ns, AccessKind::Fetch);
                 stats.l2_accesses += 1;
                 if !l2_hit {
                     stats.l2_misses += 1;
                 }
                 // An I-miss stalls the front end outright.
-                *self.cur_cycle += self.ns_to_cycles(lat_ns);
-                *self.dispatched_in_cycle = 0;
+                self.cur_cycle += self.ns_to_cycles(lat_ns);
+                self.dispatched_in_cycle = 0;
             }
         }
 
         // --- ROB window: wait for the oldest in-flight op to complete. ---
-        let slot = *self.rob_slot;
+        let slot = self.rob_slot;
         let oldest = self.completion_ring[slot];
-        if oldest > *self.cur_cycle {
-            *self.cur_cycle = oldest;
-            *self.dispatched_in_cycle = 0;
+        if oldest > self.cur_cycle {
+            self.cur_cycle = oldest;
+            self.dispatched_in_cycle = 0;
         }
 
         // --- Dispatch bandwidth. ---
-        if *self.dispatched_in_cycle >= self.params.dispatch_width {
-            *self.cur_cycle += 1;
-            *self.dispatched_in_cycle = 0;
+        if self.dispatched_in_cycle >= self.dispatch_width {
+            self.cur_cycle += 1;
+            self.dispatched_in_cycle = 0;
         }
-        *self.dispatched_in_cycle += 1;
-        if *self.cur_cycle != *self.last_busy_cycle {
-            *self.last_busy_cycle = *self.cur_cycle;
-            *self.busy_cycles += 1;
+        self.dispatched_in_cycle += 1;
+        if self.cur_cycle != self.last_busy_cycle {
+            self.last_busy_cycle = self.cur_cycle;
+            self.busy_cycles += 1;
         }
 
         // --- Operand readiness from the producer's completion time. ---
@@ -274,15 +446,15 @@ impl StepLane<'_> {
         // selects instead of an `if let` body) to spare the host branch
         // predictor: a dep of 0 stands in for "none" and resolves to the
         // already-read oldest slot.
-        let mut ready = *self.cur_cycle;
+        let mut ready = self.cur_cycle;
         let dep = op.dep.map_or(0, |d| d as usize);
-        let valid = (dep > 0) & (dep as u64 <= *self.op_index) & (dep <= self.params.rob_size);
+        let valid = (dep > 0) & (dep as u64 <= self.op_index) & (dep <= self.rob_size);
         let dep = if valid { dep } else { 0 };
         // (op_index - dep) % rob_size, via the wrapping cursor.
         let producer = if slot >= dep {
             slot - dep
         } else {
-            slot + self.params.rob_size - dep
+            slot + self.rob_size - dep
         };
         let produced = self.completion_ring[producer];
         ready = ready.max(if valid { produced } else { 0 });
@@ -292,16 +464,16 @@ impl StepLane<'_> {
         let (class, latency, mispredicted) = match op.kind {
             OpKind::IntAlu => {
                 stats.int_ops += 1;
-                (FuClass::Fxu, self.params.fxu_latency, false)
+                (FuClass::Fxu, self.fxu_latency, false)
             }
             OpKind::FpAlu => {
                 stats.fp_ops += 1;
-                (FuClass::Fpu, self.params.fpu_latency, false)
+                (FuClass::Fpu, self.fpu_latency, false)
             }
             OpKind::Load { addr } => {
                 stats.loads += 1;
                 let lat = self.data_access(addr, ready, memory, stats);
-                (FuClass::Lsu, lat + self.params.load_use_penalty, false)
+                (FuClass::Lsu, lat + self.load_use_penalty, false)
             }
             OpKind::Store { addr } => {
                 stats.stores += 1;
@@ -319,7 +491,7 @@ impl StepLane<'_> {
                 if taken {
                     // POWER4 dispatch groups end at taken branches: the
                     // redirected fetch stream starts a new group next cycle.
-                    *self.dispatched_in_cycle = self.params.dispatch_width;
+                    self.dispatched_in_cycle = self.dispatch_width;
                 }
                 (FuClass::Bru, 1, miss)
             }
@@ -327,23 +499,22 @@ impl StepLane<'_> {
 
         // --- Functional-unit arbitration (pick the earliest-free unit). ---
         let class = class as usize;
-        let pool =
-            &mut self.fu_free[self.params.fu_offsets[class]..self.params.fu_offsets[class + 1]];
+        let pool = &mut self.fu_free[self.fu_offsets[class]..self.fu_offsets[class + 1]];
         let issue = take_earliest_unit(pool, ready);
         let completion = issue + latency;
         self.completion_ring[slot] = completion;
-        *self.op_index += 1;
-        *self.rob_slot += 1;
-        if *self.rob_slot == self.params.rob_size {
-            *self.rob_slot = 0;
+        self.op_index += 1;
+        self.rob_slot += 1;
+        if self.rob_slot == self.rob_size {
+            self.rob_slot = 0;
         }
 
         // --- Misprediction: the front end restarts after resolution. ---
         if mispredicted {
-            let restart = completion + self.params.mispredict_penalty;
-            if restart > *self.cur_cycle {
-                *self.cur_cycle = restart;
-                *self.dispatched_in_cycle = 0;
+            let restart = completion + self.mispredict_penalty;
+            if restart > self.cur_cycle {
+                self.cur_cycle = restart;
+                self.dispatched_in_cycle = 0;
             }
         }
     }
@@ -358,7 +529,7 @@ impl StepLane<'_> {
         stats: &mut IntervalStats,
     ) -> u64 {
         stats.l1d_accesses += 1;
-        let mut latency = self.params.l1_latency;
+        let mut latency = self.l1_latency;
         if self.l1d.access(addr).is_miss() {
             stats.l1d_misses += 1;
             let now_ns = at_cycle as f64 * self.ns_per_cycle;
@@ -374,7 +545,7 @@ impl StepLane<'_> {
             // following demand misses, charges nothing to this load).
             if let Some(prefetcher) = self.prefetcher.as_mut() {
                 if let Some((pf_start, count)) = prefetcher.on_miss(addr) {
-                    let block_bytes = 1u64 << self.params.l1d_block_shift;
+                    let block_bytes = 1u64 << self.l1d_block_shift;
                     for k in 0..u64::from(count) {
                         let pf_addr = pf_start + k * block_bytes;
                         if self.l1d.contains(pf_addr) {
@@ -416,66 +587,19 @@ impl StepLane<'_> {
     }
 }
 
-/// One core of the CMP at a concrete clock frequency.
+/// One core of the CMP at a concrete clock frequency, with its private L2
+/// and memory.
 ///
 /// The model keeps all microarchitectural state (cache contents, predictor
 /// tables, in-flight completion times) across [`run_cycles`] calls, so a
 /// benchmark can be simulated as a sequence of `delta_sim_time` intervals
 /// exactly as the paper's toolchain does.
 ///
-/// Internally the scoreboard lives in a separate [`Engine`] struct from the
-/// private memory system, so `run_cycles` can borrow both halves disjointly
-/// — no placeholder memory object is ever constructed.
-///
 /// [`run_cycles`]: CoreModel::run_cycles
 #[derive(Debug, Clone)]
 pub struct CoreModel {
     engine: Engine,
     memory: PrivateMemory,
-}
-
-/// The scoreboard half of [`CoreModel`]: everything except the private
-/// memory subsystem, so stepping can mutably borrow the engine and an
-/// external [`MemorySubsystem`] at the same time.
-#[derive(Debug, Clone)]
-struct Engine {
-    // Static configuration (latencies in core cycles), shared verbatim with
-    // the lane-batched kernel.
-    params: StepParams,
-    freq: Hertz,
-    ns_per_cycle: f64,
-
-    // Microarchitectural structures.
-    l1i: SetAssocCache,
-    l1d: SetAssocCache,
-    predictor: BranchPredictor,
-    prefetcher: Option<StreamPrefetcher>,
-
-    // Scoreboard state.
-    cur_cycle: u64,
-    dispatched_in_cycle: u32,
-    last_busy_cycle: u64,
-    busy_cycles: u64,
-    completion_ring: Vec<u64>,
-    op_index: u64,
-    /// `op_index % rob_size`, maintained incrementally (no per-op `%`).
-    rob_slot: usize,
-    /// Per-unit next-free cycles, flat across classes; see
-    /// [`StepParams::fu_offsets`] for the class boundaries.
-    fu_free: Vec<u64>,
-    last_fetch_block: u64,
-
-    /// Exact-result memo for ns→cycles conversions: the private memory
-    /// system produces only two distinct latencies, so this two-entry
-    /// MRU cache hits almost always. Results are computed by
-    /// [`Hertz::cycles_for_ns`] on miss, so cached conversions are
-    /// bit-identical to uncached ones.
-    ns_cache: [(f64, u64); 2],
-
-    // Batched instruction delivery: ops fetched ahead of execution.
-    op_buf: Vec<MicroOp>,
-    op_buf_pos: usize,
-    op_buf_len: usize,
 }
 
 impl CoreModel {
@@ -487,46 +611,8 @@ impl CoreModel {
     /// Returns [`GpmError::InvalidConfig`] if `config` fails
     /// [`CoreConfig::validate`] or `freq` is not positive.
     pub fn new(config: &CoreConfig, freq: Hertz) -> Result<Self> {
-        config.validate()?;
-        if freq.value() <= 0.0 || freq.value().is_nan() {
-            return Err(GpmError::InvalidConfig {
-                parameter: "frequency",
-                reason: format!("must be positive, got {}", freq.value()),
-            });
-        }
-        let prefetcher = if config.prefetch_streams > 0 {
-            Some(StreamPrefetcher::new(
-                config.prefetch_streams,
-                config.l1d.block_bytes,
-            )?)
-        } else {
-            None
-        };
-        let params = StepParams::from_config(config);
-        let units = params.units_total();
         Ok(Self {
-            engine: Engine {
-                params,
-                freq,
-                ns_per_cycle: 1.0e9 / freq.value(),
-                l1i: SetAssocCache::new(config.l1i)?,
-                l1d: SetAssocCache::new(config.l1d)?,
-                predictor: BranchPredictor::new(config.predictor),
-                prefetcher,
-                cur_cycle: 0,
-                dispatched_in_cycle: 0,
-                last_busy_cycle: u64::MAX,
-                busy_cycles: 0,
-                completion_ring: vec![0; config.rob_size],
-                op_index: 0,
-                rob_slot: 0,
-                fu_free: vec![0; units],
-                last_fetch_block: u64::MAX,
-                ns_cache: [(f64::NAN, 0); 2],
-                op_buf: vec![MicroOp::int_alu(None); OP_BATCH],
-                op_buf_pos: 0,
-                op_buf_len: 0,
-            },
+            engine: Engine::new(config, freq)?,
             memory: PrivateMemory::new(config)?,
         })
     }
@@ -557,21 +643,7 @@ impl CoreModel {
     /// stream after cache warm-up) must discard the stale tail so the next
     /// run starts at the new source's first op.
     pub fn discard_pending_ops(&mut self) {
-        self.engine.op_buf_pos = 0;
-        self.engine.op_buf_len = 0;
-    }
-
-    /// Stalls the core for exactly `cycles` cycles: the clock advances, no
-    /// instructions dispatch, and the cycles count as idle (not busy).
-    ///
-    /// This is the stall-credit entry point of the two-phase full-CMP
-    /// protocol: queueing and miss delays discovered during the serial L2
-    /// replay of one quantum are charged to the core at the start of its
-    /// next quantum. The credit is indistinguishable from a long in-order
-    /// memory stall — the dispatch window reopens afterwards.
-    pub fn apply_stall_cycles(&mut self, cycles: u64) {
-        self.engine.cur_cycle += cycles;
-        self.engine.dispatched_in_cycle = 0;
+        self.engine.discard_pending_ops();
     }
 
     /// Runs the core against `source` for (at least) `target_cycles` core
@@ -582,41 +654,8 @@ impl CoreModel {
         source: &mut impl InstructionSource,
         target_cycles: u64,
     ) -> IntervalStats {
-        // Disjoint field borrows: the engine steps against the private
-        // memory without any placeholder swap.
         self.engine
-            .run_cycles_with(source, &mut self.memory, target_cycles)
-    }
-
-    /// Like [`run_cycles`](Self::run_cycles) but resolving L1 misses through
-    /// an external [`MemorySubsystem`] (used by the full-CMP simulator's
-    /// shared L2).
-    ///
-    /// This method is generic over the memory subsystem so concrete callers
-    /// monomorphize and inline the access path; trait objects still work
-    /// (`M = dyn MemorySubsystem`), or use
-    /// [`run_cycles_dyn`](Self::run_cycles_dyn) to name the dynamic
-    /// boundary explicitly.
-    pub fn run_cycles_with<M: MemorySubsystem + ?Sized>(
-        &mut self,
-        source: &mut impl InstructionSource,
-        memory: &mut M,
-        target_cycles: u64,
-    ) -> IntervalStats {
-        self.engine.run_cycles_with(source, memory, target_cycles)
-    }
-
-    /// Thin dynamic-dispatch wrapper over
-    /// [`run_cycles_with`](Self::run_cycles_with) for callers that hold the
-    /// memory system (and/or the source) as trait objects.
-    pub fn run_cycles_dyn(
-        &mut self,
-        mut source: &mut dyn InstructionSource,
-        memory: &mut dyn MemorySubsystem,
-        target_cycles: u64,
-    ) -> IntervalStats {
-        self.engine
-            .run_cycles_with(&mut source, memory, target_cycles)
+            .run(source, &mut self.memory, target_cycles, u64::MAX)
     }
 
     /// Runs until `count` further instructions have been dispatched.
@@ -625,161 +664,7 @@ impl CoreModel {
         source: &mut impl InstructionSource,
         count: u64,
     ) -> IntervalStats {
-        self.engine
-            .run_instructions_with(source, &mut self.memory, count)
-    }
-
-    /// The branch predictor (for diagnostics).
-    #[must_use]
-    pub fn predictor(&self) -> &BranchPredictor {
-        &self.engine.predictor
-    }
-
-    /// The L1 data cache (for diagnostics).
-    #[must_use]
-    pub fn l1d(&self) -> &SetAssocCache {
-        &self.engine.l1d
-    }
-}
-
-impl Engine {
-    fn run_cycles_with<M: MemorySubsystem + ?Sized>(
-        &mut self,
-        source: &mut impl InstructionSource,
-        memory: &mut M,
-        target_cycles: u64,
-    ) -> IntervalStats {
-        let mut stats = IntervalStats::default();
-        let start_cycle = self.cur_cycle;
-        let end_cycle = start_cycle.saturating_add(target_cycles);
-        let busy_start = self.busy_cycles;
-
-        // Dispatch on delivery style ONCE per run (the contract requires a
-        // source to answer `borrow_ops` consistently), so each loop below
-        // contains only its own delivery code: for concrete generator
-        // sources the zero-copy arm folds away entirely, and a dynamic
-        // source pays one virtual probe per run instead of one per op.
-        let (mut lane, op_buf, op_buf_pos, op_buf_len) = self.lane_view();
-        if source.borrow_ops(1).is_some() {
-            // Zero-copy path: step straight out of the source's own
-            // storage, reporting back how many ops the cycle bound let us
-            // retire.
-            while *lane.cur_cycle < end_cycle {
-                let Some(chunk) = source.borrow_ops(OP_BATCH) else {
-                    debug_assert!(false, "source stopped serving borrowed blocks mid-run");
-                    break;
-                };
-                let mut used = 0;
-                while used < chunk.len() && *lane.cur_cycle < end_cycle {
-                    lane.step_op(chunk[used], memory, &mut stats);
-                    used += 1;
-                }
-                source.consume_ops(used);
-            }
-        } else {
-            while *lane.cur_cycle < end_cycle {
-                if *op_buf_pos == *op_buf_len {
-                    *op_buf_len = source.fill_ops(op_buf);
-                    assert!(
-                        *op_buf_len > 0 && *op_buf_len <= op_buf.len(),
-                        "InstructionSource::fill_ops must deliver 1..=buf.len() ops"
-                    );
-                    *op_buf_pos = 0;
-                }
-                let op = op_buf[*op_buf_pos];
-                *op_buf_pos += 1;
-                lane.step_op(op, memory, &mut stats);
-            }
-        }
-
-        stats.cycles = self.cur_cycle - start_cycle;
-        stats.busy_cycles = self.busy_cycles - busy_start;
-        stats
-    }
-
-    fn run_instructions_with<M: MemorySubsystem + ?Sized>(
-        &mut self,
-        source: &mut impl InstructionSource,
-        memory: &mut M,
-        count: u64,
-    ) -> IntervalStats {
-        let mut stats = IntervalStats::default();
-        let start_cycle = self.cur_cycle;
-        let busy_start = self.busy_cycles;
-
-        // Delivery-style dispatch once per run, as in `run_cycles_with`.
-        let (mut lane, op_buf, op_buf_pos, op_buf_len) = self.lane_view();
-        let mut remaining = count;
-        if source.borrow_ops(1).is_some() {
-            while remaining > 0 {
-                let Some(chunk) = source.borrow_ops(OP_BATCH) else {
-                    debug_assert!(false, "source stopped serving borrowed blocks mid-run");
-                    break;
-                };
-                let take = chunk
-                    .len()
-                    .min(usize::try_from(remaining).unwrap_or(usize::MAX));
-                for &op in &chunk[..take] {
-                    lane.step_op(op, memory, &mut stats);
-                }
-                source.consume_ops(take);
-                remaining -= take as u64;
-            }
-        } else {
-            while remaining > 0 {
-                if *op_buf_pos == *op_buf_len {
-                    *op_buf_len = source.fill_ops(op_buf);
-                    assert!(
-                        *op_buf_len > 0 && *op_buf_len <= op_buf.len(),
-                        "InstructionSource::fill_ops must deliver 1..=buf.len() ops"
-                    );
-                    *op_buf_pos = 0;
-                }
-                let op = op_buf[*op_buf_pos];
-                *op_buf_pos += 1;
-                lane.step_op(op, memory, &mut stats);
-                remaining -= 1;
-            }
-        }
-
-        stats.cycles = self.cur_cycle - start_cycle;
-        stats.busy_cycles = self.busy_cycles - busy_start;
-        stats
-    }
-
-    /// Splits the engine into a [`StepLane`] view over the scoreboard state
-    /// plus the op delivery buffer. Built once per run call and reused for
-    /// the whole op loop — rebuilding the view per op costs ~15% of core
-    /// throughput ([`step_op`](StepLane::step_op) is too large to inline, so
-    /// a per-op view is materialised rather than scalarised away). The
-    /// lane-batched kernel hoists its views the same way, once per chunk.
-    #[allow(clippy::type_complexity)]
-    fn lane_view(&mut self) -> (StepLane<'_>, &mut [MicroOp], &mut usize, &mut usize) {
-        let lane = StepLane {
-            params: &self.params,
-            freq: self.freq,
-            ns_per_cycle: self.ns_per_cycle,
-            l1i: self.l1i.view(),
-            l1d: self.l1d.view(),
-            predictor: self.predictor.view(),
-            prefetcher: self.prefetcher.as_mut(),
-            cur_cycle: &mut self.cur_cycle,
-            dispatched_in_cycle: &mut self.dispatched_in_cycle,
-            last_busy_cycle: &mut self.last_busy_cycle,
-            busy_cycles: &mut self.busy_cycles,
-            completion_ring: &mut self.completion_ring,
-            op_index: &mut self.op_index,
-            rob_slot: &mut self.rob_slot,
-            fu_free: &mut self.fu_free,
-            last_fetch_block: &mut self.last_fetch_block,
-            ns_cache: &mut self.ns_cache,
-        };
-        (
-            lane,
-            &mut self.op_buf,
-            &mut self.op_buf_pos,
-            &mut self.op_buf_len,
-        )
+        self.engine.run(source, &mut self.memory, u64::MAX, count)
     }
 }
 

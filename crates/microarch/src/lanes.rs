@@ -1,65 +1,59 @@
-//! Structure-of-arrays lane batching: N cores (or N candidate power modes
-//! of one core) stepped in lockstep by a single kernel.
+//! Lane batching: N cores (or N candidate power modes of one core) stepped
+//! in lockstep by a single kernel.
 //!
 //! # Why lanes
 //!
 //! The scalar path simulates each core (or each candidate power mode) as a
-//! complete, separate run: N runs re-stream the op sequence N times and
-//! re-walk the memory hierarchy cold each time. A [`LaneBatch`] holds N
-//! *independent* cores' architectural state as parallel flat arrays and
-//! [`step_lanes`](LaneBatch::step_lanes) advances them in
-//! chunk-synchronous lockstep — a budget of retired ops
-//! ([`set_chunk_ops`](LaneBatch::set_chunk_ops), default [`CHUNK_OPS`])
-//! for one lane, then the next, round-robin. When the lanes replay the
-//! same tape (mode capture), lockstep keeps their read positions within
-//! one chunk of each other, so the tape window is streamed through host
-//! caches once per batch instead of once per lane. The chunk size
-//! balances that sharing against each lane's own working set (its
-//! simulated cache tags and predictor tables): per-op interleaving would
-//! thrash the host cache with N lane-state sets live at once, while
-//! whole-run granularity forfeits tape sharing entirely — the right
-//! choice for lanes with *independent* sources (the full-CMP simulator),
-//! which have nothing to share.
+//! complete, separate run: N runs re-stream the op sequence N times. A
+//! [`LaneBatch`] holds N independent cores — N [`Engine`]s, the same state
+//! type a [`CoreModel`](crate::CoreModel) holds one of — and
+//! [`step_lanes`](LaneBatch::step_lanes) advances them round-robin, one turn
+//! per live lane. A lane's turn budget follows from how its source delivers
+//! ops:
+//!
+//! * A source that lends blocks of a recording
+//!   ([`borrow_ops`](InstructionSource::borrow_ops), e.g. a shared tape in
+//!   mode capture) gets [`CHUNK_OPS`] retired ops per turn. Lanes replaying
+//!   the same tape then keep their read positions within one chunk of each
+//!   other, so the tape window is streamed through host caches once per
+//!   batch instead of once per lane, while each lane's simulated cache tags
+//!   and predictor tables stay hot for thousands of consecutive ops.
+//! * A generator source (e.g. each core's own stream in the full-CMP
+//!   simulator) has nothing to share, so its lane runs straight through its
+//!   segments in one turn, keeping that lane's state hot instead of cycling
+//!   N lanes' state through the host cache.
 //!
 //! # Determinism
 //!
-//! No data flows between lanes inside the kernel: each lane owns disjoint
-//! windows of the lane-major arrays ([`CacheLanes`], [`PredictorLanes`],
-//! completion rings, unit free-times) and steps through the *same*
-//! [`StepLane::step_op`] implementation the scalar engine runs. A lane's
-//! op sequence, cycle arithmetic and memory-subsystem call sequence are
-//! therefore bit-identical to a standalone [`CoreModel`](crate::CoreModel)
-//! fed the same source — pinned by the SoA-vs-scalar equivalence tests and
+//! No data flows between lanes inside the kernel: each lane owns its
+//! engine, source, memory subsystem and clock, and steps through the same
+//! [`Engine::run_burst`] a standalone core runs. A lane's op sequence, cycle
+//! arithmetic and memory-subsystem call sequence are therefore bit-identical
+//! to a standalone [`CoreModel`](crate::CoreModel) fed the same source, for
+//! any turn schedule — pinned by the batch-vs-scalar equivalence tests and
 //! the golden trace/CMP hashes.
 
 use gpm_types::{GpmError, Hertz, Result};
 
-use crate::branch::PredictorLanes;
-use crate::cache::CacheLanes;
-use crate::core_model::{StepLane, StepParams, OP_BATCH};
-use crate::{
-    CoreConfig, InstructionSource, IntervalStats, MemorySubsystem, MicroOp, StreamPrefetcher,
-};
+use crate::core_model::{Engine, Segment};
+use crate::{CoreConfig, InstructionSource, IntervalStats, MemorySubsystem};
 
-/// Retired ops one lane advances before the kernel switches to the next
-/// lane.
+/// Retired ops a lane that replays a lent recording advances per turn
+/// before the kernel switches to the next lane.
 ///
-/// The round-robin granularity of [`LaneBatch::step_lanes`]: small enough
-/// that co-replaying lanes stay within one hot tape window of each other,
-/// large enough that a lane's simulated cache tags and predictor tables
-/// stay resident in host caches for many consecutive ops before the next
-/// lane evicts them. The budget is counted in *ops*, not cycles, because
-/// that is what bounds the drift between lanes' tape read positions: lanes
-/// chunked by cycles drift apart by their cumulative IPC difference (a
-/// slower mode retires more ops per cycle once memory latencies shrink in
-/// cycle terms), so the shared window grows with run length and falls out
-/// of host cache; an op budget pins every lane within one chunk of the
-/// leader for the whole run. Purely a scheduling knob — any value produces
+/// Small enough that co-replaying lanes stay within one hot tape window of
+/// each other, large enough that a lane's simulated cache tags and
+/// predictor tables stay resident in host caches for many consecutive ops
+/// before the next lane evicts them. The budget is counted in *ops*, not
+/// cycles, because that is what bounds the drift between lanes' tape read
+/// positions: lanes turned by cycles drift apart by their cumulative IPC
+/// difference, so the shared window grows with run length and falls out of
+/// host cache. Purely a scheduling choice — any value produces
 /// bit-identical results, because no data flows between lanes.
-pub const CHUNK_OPS: usize = 8_192;
+const CHUNK_OPS: u64 = 8_192;
 
-/// N cores' complete stepping state as structure-of-arrays, advanced in
-/// lockstep by [`step_lanes`](Self::step_lanes).
+/// N cores' complete stepping state, advanced in lockstep by
+/// [`step_lanes`](Self::step_lanes).
 ///
 /// All lanes share one [`CoreConfig`] (geometry, latencies) but each lane
 /// has its own clock frequency — the lane↔mode mapping of a 3-mode capture
@@ -93,47 +87,10 @@ pub const CHUNK_OPS: usize = 8_192;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LaneBatch {
-    params: StepParams,
-    lanes: usize,
-    chunk_ops: usize,
-
-    // Per-lane clocking.
-    freq: Vec<Hertz>,
-    ns_per_cycle: Vec<f64>,
-
-    // Lane-major microarchitectural structures.
-    l1i: CacheLanes,
-    l1d: CacheLanes,
-    predictors: PredictorLanes,
-    prefetchers: Vec<Option<StreamPrefetcher>>,
-
-    // Per-lane scoreboard state (SoA).
-    cur_cycle: Vec<u64>,
-    dispatched_in_cycle: Vec<u32>,
-    last_busy_cycle: Vec<u64>,
-    busy_cycles: Vec<u64>,
-    /// `lanes × rob_size`, lane-major.
-    completion: Vec<u64>,
-    op_index: Vec<u64>,
-    rob_slot: Vec<usize>,
-    /// `lanes × units_total`, lane-major; class boundaries per
-    /// `StepParams::fu_offsets`.
-    fu_free: Vec<u64>,
-    units_per_lane: usize,
-    last_fetch_block: Vec<u64>,
-    ns_cache: Vec<[(f64, u64); 2]>,
-
-    // Per-lane batched op delivery (`lanes × OP_BATCH`, lane-major).
-    op_buf: Vec<MicroOp>,
-    op_buf_pos: Vec<usize>,
-    op_buf_len: Vec<usize>,
-
-    // Kernel scratch, kept across calls to avoid reallocation.
-    seg_stats: Vec<IntervalStats>,
-    seg_start: Vec<u64>,
-    busy_start: Vec<u64>,
-    end_cycle: Vec<u64>,
-    active: Vec<bool>,
+    engines: Vec<Engine>,
+    /// Kernel scratch, kept across calls to avoid reallocation: each lane's
+    /// open segment, `None` once the lane has retired.
+    segments: Vec<Option<Segment>>,
 }
 
 impl LaneBatch {
@@ -146,113 +103,50 @@ impl LaneBatch {
     /// [`CoreConfig::validate`], `freqs` is empty, or any frequency is not
     /// positive.
     pub fn new(config: &CoreConfig, freqs: &[Hertz]) -> Result<Self> {
-        config.validate()?;
         if freqs.is_empty() {
             return Err(GpmError::InvalidConfig {
                 parameter: "lanes",
                 reason: "a lane batch needs at least one lane".into(),
             });
         }
-        for freq in freqs {
-            if freq.value() <= 0.0 || freq.value().is_nan() {
-                return Err(GpmError::InvalidConfig {
-                    parameter: "frequency",
-                    reason: format!("must be positive, got {}", freq.value()),
-                });
-            }
-        }
-        let lanes = freqs.len();
-        let params = StepParams::from_config(config);
-        let units_per_lane = params.units_total();
-        let mut prefetchers = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            prefetchers.push(if config.prefetch_streams > 0 {
-                Some(StreamPrefetcher::new(
-                    config.prefetch_streams,
-                    config.l1d.block_bytes,
-                )?)
-            } else {
-                None
-            });
-        }
+        let engines = freqs
+            .iter()
+            .map(|&freq| Engine::new(config, freq))
+            .collect::<Result<Vec<_>>>()?;
         Ok(Self {
-            lanes,
-            chunk_ops: CHUNK_OPS,
-            freq: freqs.to_vec(),
-            ns_per_cycle: freqs.iter().map(|f| 1.0e9 / f.value()).collect(),
-            l1i: CacheLanes::new(config.l1i, lanes)?,
-            l1d: CacheLanes::new(config.l1d, lanes)?,
-            predictors: PredictorLanes::new(config.predictor, lanes)?,
-            prefetchers,
-            cur_cycle: vec![0; lanes],
-            dispatched_in_cycle: vec![0; lanes],
-            last_busy_cycle: vec![u64::MAX; lanes],
-            busy_cycles: vec![0; lanes],
-            completion: vec![0; lanes * params.rob_size],
-            op_index: vec![0; lanes],
-            rob_slot: vec![0; lanes],
-            fu_free: vec![0; lanes * units_per_lane],
-            units_per_lane,
-            last_fetch_block: vec![u64::MAX; lanes],
-            ns_cache: vec![[(f64::NAN, 0); 2]; lanes],
-            op_buf: vec![MicroOp::int_alu(None); lanes * OP_BATCH],
-            op_buf_pos: vec![0; lanes],
-            op_buf_len: vec![0; lanes],
-            seg_stats: vec![IntervalStats::default(); lanes],
-            seg_start: vec![0; lanes],
-            busy_start: vec![0; lanes],
-            end_cycle: vec![0; lanes],
-            active: vec![false; lanes],
-            params,
+            segments: vec![None; engines.len()],
+            engines,
         })
     }
 
     /// Number of lanes in the batch.
     #[must_use]
     pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Sets the round-robin granularity of
-    /// [`step_lanes`](Self::step_lanes), in retired ops per lane per turn
-    /// (default [`CHUNK_OPS`]).
-    ///
-    /// Purely a scheduling knob — results are bit-identical for any value.
-    /// The default suits lanes co-replaying one shared tape, where a small
-    /// chunk keeps every cursor inside one hot window of the recording.
-    /// Lanes with *independent* sources gain nothing from interleaving, so
-    /// callers like the full-CMP simulator pass `usize::MAX` to run each
-    /// lane straight through its segment, keeping that lane's simulated
-    /// cache tags and predictor tables hot instead of cycling N lanes'
-    /// state through the host cache every chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_ops` is 0.
-    pub fn set_chunk_ops(&mut self, chunk_ops: usize) {
-        assert!(chunk_ops > 0, "chunk_ops must be at least 1");
-        self.chunk_ops = chunk_ops;
+        self.engines.len()
     }
 
     /// The clock frequency of lane `lane`.
     #[must_use]
     pub fn frequency(&self, lane: usize) -> Hertz {
-        self.freq[lane]
+        self.engines[lane].frequency()
     }
 
     /// Total core cycles elapsed on lane `lane` since construction.
     #[must_use]
     pub fn now_cycles(&self, lane: usize) -> u64 {
-        self.cur_cycle[lane]
+        self.engines[lane].now_cycles()
     }
 
     /// Stalls lane `lane` for exactly `cycles` cycles: the clock advances,
     /// no instructions dispatch, and the cycles count as idle (not busy).
-    /// The lane-batched counterpart of
-    /// [`CoreModel::apply_stall_cycles`](crate::CoreModel::apply_stall_cycles).
+    ///
+    /// This is the stall-credit entry point of the two-phase full-CMP
+    /// protocol: queueing and miss delays discovered during the serial L2
+    /// replay of one quantum are charged to the core at the start of its
+    /// next quantum. The credit is indistinguishable from a long in-order
+    /// memory stall — the dispatch window reopens afterwards.
     pub fn apply_stall_cycles(&mut self, lane: usize, cycles: u64) {
-        self.cur_cycle[lane] += cycles;
-        self.dispatched_in_cycle[lane] = 0;
+        self.engines[lane].apply_stall_cycles(cycles);
     }
 
     /// Drops instructions fetched from the lanes' sources but not yet
@@ -261,12 +155,12 @@ impl LaneBatch {
     /// discard the stale tails; see
     /// [`CoreModel::discard_pending_ops`](crate::CoreModel::discard_pending_ops).
     pub fn discard_pending_ops(&mut self) {
-        self.op_buf_pos.fill(0);
-        self.op_buf_len.fill(0);
+        for engine in &mut self.engines {
+            engine.discard_pending_ops();
+        }
     }
 
-    /// Advances all lanes in lockstep, one chunk of cycles per live lane
-    /// per round.
+    /// Advances all lanes in lockstep, one turn per live lane per round.
     ///
     /// Lane `i` steps ops against `sources[i]`/`memories[i]` until its
     /// clock reaches `targets[i]` cycles past its current time (the same
@@ -274,9 +168,11 @@ impl LaneBatch {
     /// [`CoreModel::run_cycles`](crate::CoreModel::run_cycles)). At each
     /// boundary the lane's segment statistics are handed to `on_segment`;
     /// returning `Some(next_target)` immediately opens the next segment
-    /// (the lane never pauses, so chunk-synchronous lockstep is preserved
-    /// across segment boundaries), returning `None` retires the lane. The
-    /// call returns when every lane has retired.
+    /// (the lane never pauses, so lockstep is preserved across segment
+    /// boundaries), returning `None` retires the lane. The call returns
+    /// when every lane has retired. A turn lasts 8,192 retired ops
+    /// (`CHUNK_OPS`) for a lane whose source lends blocks, and until the
+    /// lane retires otherwise.
     ///
     /// A target of 0 yields an immediate, empty segment — callers encoding
     /// "this quantum is fully stalled" get a default `IntervalStats` with
@@ -300,7 +196,7 @@ impl LaneBatch {
         M: MemorySubsystem,
         F: FnMut(usize, &IntervalStats) -> Option<u64>,
     {
-        let n = self.lanes;
+        let n = self.engines.len();
         assert!(
             sources.len() == n && memories.len() == n && targets.len() == n,
             "step_lanes needs exactly one source, memory and target per lane \
@@ -310,160 +206,57 @@ impl LaneBatch {
             targets.len(),
         );
 
-        for (lane, &target) in targets.iter().enumerate() {
-            self.seg_stats[lane] = IntervalStats::default();
-            self.seg_start[lane] = self.cur_cycle[lane];
-            self.busy_start[lane] = self.busy_cycles[lane];
-            self.end_cycle[lane] = self.cur_cycle[lane].saturating_add(target);
-            self.active[lane] = true;
+        for ((slot, engine), &target) in self.segments.iter_mut().zip(&self.engines).zip(targets) {
+            *slot = Some(engine.open(target));
         }
         let mut alive = n;
 
         while alive > 0 {
-            for lane in 0..n {
-                if !self.active[lane] {
-                    continue;
-                }
-                let mut budget = self.chunk_ops;
-
-                'lane: loop {
-                    // Segment boundaries are pure bookkeeping in the
-                    // op-driven loop: finalize, hand off, and (maybe) open
-                    // the next segment without the lane missing a round.
-                    while self.cur_cycle[lane] >= self.end_cycle[lane] {
-                        let mut stats = self.seg_stats[lane];
-                        stats.cycles = self.cur_cycle[lane] - self.seg_start[lane];
-                        stats.busy_cycles = self.busy_cycles[lane] - self.busy_start[lane];
-                        match on_segment(lane, &stats) {
-                            Some(next) => {
-                                self.seg_stats[lane] = IntervalStats::default();
-                                self.seg_start[lane] = self.cur_cycle[lane];
-                                self.busy_start[lane] = self.busy_cycles[lane];
-                                self.end_cycle[lane] = self.cur_cycle[lane].saturating_add(next);
-                            }
+            let lanes = self.engines.iter_mut().zip(&mut self.segments);
+            'lane: for (lane, ((engine, slot), (source, memory))) in lanes
+                .zip(sources.iter_mut().zip(memories.iter_mut()))
+                .enumerate()
+            {
+                let Some(segment) = slot else { continue };
+                let mut budget = if source.borrow_ops(1).is_some() {
+                    CHUNK_OPS
+                } else {
+                    u64::MAX
+                };
+                loop {
+                    // Segment boundaries are pure bookkeeping: finalize,
+                    // hand off, and (maybe) open the next segment without
+                    // the lane missing a round.
+                    while engine.now_cycles() >= segment.end_cycle {
+                        match on_segment(lane, &engine.close(segment)) {
+                            Some(next) => *segment = engine.open(next),
                             None => {
-                                self.active[lane] = false;
+                                *slot = None;
                                 alive -= 1;
-                                break 'lane;
+                                continue 'lane;
                             }
                         }
                     }
                     if budget == 0 {
-                        break 'lane;
+                        break;
                     }
-
-                    // Burst of ops for this lane, through one view over its
-                    // lane-major windows, until the segment ends or the
-                    // chunk's op budget runs out.
-                    let stop = self.end_cycle[lane];
-                    let rob = self.params.rob_size;
-                    let units = self.units_per_lane;
-                    let mut view = StepLane {
-                        params: &self.params,
-                        freq: self.freq[lane],
-                        ns_per_cycle: self.ns_per_cycle[lane],
-                        l1i: self.l1i.lane_view(lane),
-                        l1d: self.l1d.lane_view(lane),
-                        predictor: self.predictors.lane_view(lane),
-                        prefetcher: self.prefetchers[lane].as_mut(),
-                        cur_cycle: &mut self.cur_cycle[lane],
-                        dispatched_in_cycle: &mut self.dispatched_in_cycle[lane],
-                        last_busy_cycle: &mut self.last_busy_cycle[lane],
-                        busy_cycles: &mut self.busy_cycles[lane],
-                        completion_ring: &mut self.completion[lane * rob..(lane + 1) * rob],
-                        op_index: &mut self.op_index[lane],
-                        rob_slot: &mut self.rob_slot[lane],
-                        fu_free: &mut self.fu_free[lane * units..(lane + 1) * units],
-                        last_fetch_block: &mut self.last_fetch_block[lane],
-                        ns_cache: &mut self.ns_cache[lane],
-                    };
-                    let op_buf = &mut self.op_buf[lane * OP_BATCH..(lane + 1) * OP_BATCH];
-                    let pos = &mut self.op_buf_pos[lane];
-                    let len = &mut self.op_buf_len[lane];
-                    let stats = &mut self.seg_stats[lane];
-                    let source = &mut sources[lane];
-                    let memory = &mut memories[lane];
-                    // Delivery-style dispatch once per burst (the contract
-                    // requires a source to answer `borrow_ops`
-                    // consistently). The zero-copy tape loop stays written
-                    // out here, where the optimiser sees the view fields
-                    // come straight from the batch's own arrays (hoisting
-                    // it behind a call was measured ~5% slower on the
-                    // capture benches); the buffered loop wants the
-                    // opposite and lives in [`run_buffered_burst`].
-                    if source.borrow_ops(1).is_some() {
-                        while *view.cur_cycle < stop && budget > 0 {
-                            let Some(chunk) = source.borrow_ops(budget.min(OP_BATCH)) else {
-                                debug_assert!(
-                                    false,
-                                    "source stopped serving borrowed blocks mid-burst"
-                                );
-                                break;
-                            };
-                            let mut used = 0;
-                            while used < chunk.len() && *view.cur_cycle < stop {
-                                view.step_op(chunk[used], memory, stats);
-                                used += 1;
-                            }
-                            source.consume_ops(used);
-                            budget -= used;
-                        }
-                    } else {
-                        budget = run_buffered_burst(
-                            &mut view, op_buf, pos, len, source, memory, stats, stop, budget,
-                        );
-                    }
+                    budget -= engine.run_burst(
+                        source,
+                        memory,
+                        &mut segment.stats,
+                        segment.end_cycle,
+                        budget,
+                    );
                 }
             }
         }
     }
 }
 
-/// One lane's op burst off a generator source, via the lane's delivery
-/// buffer.
-///
-/// Deliberately `inline(never)`: folding this loop into
-/// [`LaneBatch::step_lanes`] — whose round-robin and segment bookkeeping
-/// would share one huge frame with it — was measured ~5% slower on the
-/// full-CMP benches, the shape the scalar path avoids by having
-/// `run_cycles_with` to itself.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn run_buffered_burst<S: InstructionSource, M: MemorySubsystem>(
-    view: &mut StepLane<'_>,
-    op_buf: &mut [MicroOp],
-    pos: &mut usize,
-    len: &mut usize,
-    source: &mut S,
-    memory: &mut M,
-    stats: &mut IntervalStats,
-    stop: u64,
-    mut budget: usize,
-) -> usize {
-    while *view.cur_cycle < stop && budget > 0 {
-        if *pos >= *len {
-            let filled = source.fill_ops(op_buf);
-            assert!(
-                filled > 0 && filled <= op_buf.len(),
-                "InstructionSource::fill_ops must deliver 1..=buf.len() ops"
-            );
-            *len = filled;
-            *pos = 0;
-        }
-        while *pos < *len && *view.cur_cycle < stop && budget > 0 {
-            let op = op_buf[*pos];
-            *pos += 1;
-            view.step_op(op, memory, stats);
-            budget -= 1;
-        }
-    }
-    budget
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoreModel, PrivateMemory};
+    use crate::{CoreModel, MicroOp, PrivateMemory};
 
     /// Deterministic mixed-op stream, seeded per lane.
     struct Mix {

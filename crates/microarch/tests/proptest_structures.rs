@@ -50,7 +50,7 @@ proptest! {
     /// perfectly-biased branch converges to ~zero mispredicts.
     #[test]
     fn predictor_bounds(outcomes in prop::collection::vec(any::<bool>(), 1..500)) {
-        let mut bp = BranchPredictor::new(PredictorConfig::default());
+        let mut bp = BranchPredictor::new(PredictorConfig::default()).unwrap();
         for &taken in &outcomes {
             let _ = bp.predict_and_update(0x4000, taken);
         }

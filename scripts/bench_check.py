@@ -11,8 +11,9 @@ It also fails if any REQUIRED_PATHS row is missing: load-bearing rows
 (the wide-CMP sharding comparison, the 256-way hierarchical decide
 latency, the cached 8-way decide latency, the fleet engine's sustained
 decision throughput, the budget-interval memo's churned-fleet and
-cached-decide before/after rows) must not silently drop out of the
-record when the harness or the JSON is reorganised.
+cached-decide before/after rows, the lane-state layout's capture and
+full-CMP rows) must not silently drop out of the record when the harness
+or the JSON is reorganised.
 
 Usage:
     scripts/bench_check.py [--floor 0.95] [--file BENCH_sim_throughput.json]
@@ -56,6 +57,8 @@ REQUIRED_PATHS = (
     "serve_decisions.serve_decisions_10k_nodes.loopback_tcp_1shard_decisions_per_sec",
     "budget_interval_memo.rows.fleet_churn_10k_nodes.speedup",
     "budget_interval_memo.rows.policy_decide_8way_cached.speedup",
+    "lane_state_layout.rows.capture_cpu_bound_sixtrack.speedup",
+    "lane_state_layout.rows.cmp_full_8way_mixed.speedup",
 )
 
 

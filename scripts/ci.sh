@@ -35,20 +35,20 @@ cargo clippy -p gpm-faults --all-targets -- -D warnings
 
 # The exact branch-and-bound behind MaxBIPS promises bit-identical
 # decisions to the exhaustive scan; run its equivalence group explicitly
-# under both pool widths (the chunked reference scan and the 16-way run
-# ride the worker pool) and lint the solver's crate at zero-warning
-# strictness.
+# under both pool widths (the 16-way manager run rides the worker pool)
+# and lint the solver's crate at zero-warning strictness.
 echo "==> solver: equivalence tests under two pool widths + clippy -D warnings"
 GPM_THREADS=1 cargo test --quiet --test solver_equivalence
 GPM_THREADS=2 cargo test --quiet --test solver_equivalence
 cargo clippy -p gpm-core --all-targets -- -D warnings
 
-# The SoA lane-batched kernel promises bit-identity with the scalar
-# stepping path for any lane count, chunk schedule and pool width; run
-# the equivalence group (golden trace hashes, scalar-vs-batched engines,
-# the mixed-mode lane batch and the quantum-boundary proptest) under a
-# serial and a saturated pool, and lint the core-model crate at
-# zero-warning strictness.
+# The lane batch (N scalar cores stepped round-robin) promises
+# bit-identity with a standalone core for any lane count, turn schedule,
+# delivery style and pool width; run the equivalence group (golden trace
+# hashes, scalar-vs-batched engines, the mixed-mode lane batch and the
+# mixed-delivery quantum-boundary proptest) under a serial and a
+# saturated pool, and lint the core-model crate at zero-warning
+# strictness.
 echo "==> lane kernel: step_equivalence under two pool widths + clippy -D warnings"
 GPM_THREADS=1 cargo test --quiet --test step_equivalence
 GPM_THREADS=8 cargo test --quiet --test step_equivalence

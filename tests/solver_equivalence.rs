@@ -134,35 +134,9 @@ fn infeasible_budget_returns_all_eff2() {
     );
 }
 
-/// The parallel reference scan (`exhaustive_chunked`) is pool-width
-/// independent and agrees with both the serial scan and the solver.
-#[test]
-fn chunked_scan_is_pool_width_independent() {
-    let _guard = THREADS_LOCK.lock().unwrap();
-    let (dvfs, explore) = paper_ctx();
-    let rows: Vec<(f64, f64)> = (0..7)
-        .map(|i| {
-            (
-                12.0 + (i * 7 % 11) as f64 * 1.3,
-                0.4 + (i * 5 % 9) as f64 * 0.35,
-            )
-        })
-        .collect();
-    let m = matrices(&rows);
-    let current: ModeCombination = (0..7).map(|i| PowerMode::ALL[i % 3]).collect();
-    let budget = Watts::new(0.75 * rows.iter().map(|r| r.0).sum::<f64>());
-    let serial = solver::exhaustive(&m, &current, budget, &dvfs, explore);
-    for threads in [1, 2, 8] {
-        let chunked = with_threads(threads, || {
-            solver::exhaustive_chunked(&m, &current, budget, &dvfs, explore, threads)
-        });
-        assert_eq!(chunked, serial, "pool width {threads}");
-    }
-    assert_eq!(solver::solve(&m, &current, budget, &dvfs, explore), serial);
-}
-
-/// The odometer the scan and the chunked ranges ride on really enumerates
-/// ranks in the scan's order (core 0 = most significant base-3 digit).
+/// The odometer the scan rides on, seeded by rank as the static oracle
+/// seeds it, really enumerates ranks in the scan's order (core 0 = most
+/// significant base-3 digit).
 #[test]
 fn odometer_rank_seeding_matches_enumeration() {
     let total = 3usize.pow(4);

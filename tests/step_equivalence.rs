@@ -12,11 +12,14 @@
 //! 2. Delivery-shape independence: a source that trickles ops one per
 //!    `fill_ops` call must produce exactly the same interval statistics as
 //!    the same stream delivering full batches, at every DVFS frequency.
-//! 3. Engine independence: the SoA lane-batched kernel (`LaneBatch`) and
-//!    the scalar `CoreModel` path must agree byte-for-byte — via the same
+//! 3. Engine independence: the lane-batched kernel (`LaneBatch`) and the
+//!    scalar `CoreModel` path must agree byte-for-byte — via the same
 //!    golden hashes for full captures, via direct `IntervalStats` equality
 //!    for mixed-mode lane batches, and via a property test over random
-//!    quantum boundaries.
+//!    quantum boundaries on batches that mix generator lanes with lanes
+//!    replaying shared tapes.
+
+use std::collections::HashMap;
 
 use gpm::microarch::{
     CoreConfig, CoreModel, InstructionSource, IntervalStats, LaneBatch, MicroOp, PrivateMemory,
@@ -24,7 +27,7 @@ use gpm::microarch::{
 use gpm::power::DvfsParams;
 use gpm::trace::{capture_benchmark, CaptureConfig, CaptureEngine};
 use gpm::types::{Hertz, PowerMode};
-use gpm::workloads::SpecBenchmark;
+use gpm::workloads::{SharedTape, SpecBenchmark};
 use proptest::prelude::*;
 
 /// FNV-1a 64 over the serialized trace; mirrors nothing in the library so
@@ -158,15 +161,21 @@ fn scalar_engine_matches_lane_batched_goldens() {
     }
 }
 
-/// Steps `segments` of cycles on a scalar core and on one lane of a batch,
-/// returning both interval-stat sequences for comparison.
+/// One lane of a comparison: benchmark, clock, segment lengths in cycles,
+/// and whether the batch lane replays a tape instead of the generator.
+type LanePlan = (SpecBenchmark, Hertz, Vec<u64>, bool);
+
+/// Steps `segments` of cycles on a scalar core (always fed the generator)
+/// and on one lane of a batch (fed the generator or a tape, per the plan;
+/// taped lanes of one benchmark co-replay one shared tape), returning both
+/// interval-stat sequences for comparison.
 fn run_both_paths(
     config: &CoreConfig,
-    plan: &[(SpecBenchmark, Hertz, Vec<u64>)],
+    plan: &[LanePlan],
 ) -> (Vec<Vec<IntervalStats>>, Vec<Vec<IntervalStats>>) {
     let scalar: Vec<Vec<IntervalStats>> = plan
         .iter()
-        .map(|(bench, freq, segments)| {
+        .map(|(bench, freq, segments, _)| {
             let mut core = CoreModel::new(config, *freq).expect("valid config");
             let mut stream = bench.stream();
             segments
@@ -176,14 +185,29 @@ fn run_both_paths(
         })
         .collect();
 
-    let freqs: Vec<Hertz> = plan.iter().map(|(_, f, _)| *f).collect();
+    let freqs: Vec<Hertz> = plan.iter().map(|(_, f, _, _)| *f).collect();
     let mut batch = LaneBatch::new(config, &freqs).expect("valid config");
-    let mut sources: Vec<_> = plan.iter().map(|(b, _, _)| b.stream()).collect();
+    // Mixed delivery: a tape reader lends blocks, a generator fills the
+    // core's buffer, and the kernel picks each lane's turn budget from that.
+    let mut tapes = HashMap::new();
+    let mut sources: Vec<Box<dyn InstructionSource>> = plan
+        .iter()
+        .map(|&(bench, _, _, taped)| -> Box<dyn InstructionSource> {
+            if taped {
+                let tape = tapes
+                    .entry(bench.name())
+                    .or_insert_with(|| SharedTape::new(bench.stream()));
+                Box::new(tape.reader())
+            } else {
+                Box::new(bench.stream())
+            }
+        })
+        .collect();
     let mut memories: Vec<PrivateMemory> = plan
         .iter()
         .map(|_| PrivateMemory::new(config).expect("valid config"))
         .collect();
-    let first: Vec<u64> = plan.iter().map(|(_, _, s)| s[0]).collect();
+    let first: Vec<u64> = plan.iter().map(|(_, _, s, _)| s[0]).collect();
     let mut done = vec![0usize; plan.len()];
     let mut batched: Vec<Vec<IntervalStats>> = vec![Vec::new(); plan.len()];
     batch.step_lanes(&mut sources, &mut memories, &first, |lane, stats| {
@@ -200,7 +224,7 @@ fn run_both_paths(
 #[test]
 fn mixed_mode_eight_lane_batch_matches_scalar_cores() {
     let dvfs = DvfsParams::paper();
-    let plan: Vec<(SpecBenchmark, Hertz, Vec<u64>)> = SpecBenchmark::ALL
+    let plan: Vec<LanePlan> = SpecBenchmark::ALL
         .into_iter()
         .take(8)
         .enumerate()
@@ -209,11 +233,11 @@ fn mixed_mode_eight_lane_batch_matches_scalar_cores() {
             let segments = (0..3)
                 .map(|k| 20_000 + 7_000 * ((i + k) % 3) as u64)
                 .collect();
-            (bench, dvfs.frequency(mode), segments)
+            (bench, dvfs.frequency(mode), segments, false)
         })
         .collect();
     let (scalar, batched) = run_both_paths(&CoreConfig::power4(), &plan);
-    for (lane, (bench, _, _)) in plan.iter().enumerate() {
+    for (lane, (bench, _, _, _)) in plan.iter().enumerate() {
         assert_eq!(
             scalar[lane],
             batched[lane],
@@ -228,7 +252,10 @@ proptest! {
 
     /// Arbitrary quantum boundaries — including zero-cycle segments — must
     /// never open a gap between the scalar and lane-batched paths: the
-    /// per-segment `IntervalStats` are identical wherever the cuts land.
+    /// per-segment `IntervalStats` are identical wherever the cuts land,
+    /// whether a lane generates its ops (one turn straight through its
+    /// segments) or replays a shared tape (chunked turns that cross
+    /// segment boundaries), in any mix.
     #[test]
     fn random_quantum_boundaries_match_scalar(
         lanes in prop::collection::vec(
@@ -236,18 +263,20 @@ proptest! {
                 0usize..SpecBenchmark::ALL.len(),
                 0usize..PowerMode::ALL.len(),
                 prop::collection::vec(0u64..30_000, 1..5),
+                any::<bool>(),
             ),
             1..5,
         ),
     ) {
         let dvfs = DvfsParams::paper();
-        let plan: Vec<(SpecBenchmark, Hertz, Vec<u64>)> = lanes
+        let plan: Vec<LanePlan> = lanes
             .into_iter()
-            .map(|(b, m, segments)| {
+            .map(|(b, m, segments, taped)| {
                 (
                     SpecBenchmark::ALL[b],
                     dvfs.frequency(PowerMode::ALL[m]),
                     segments,
+                    taped,
                 )
             })
             .collect();
