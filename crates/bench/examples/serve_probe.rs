@@ -2,7 +2,8 @@
 //! [`FleetEngine`] drive, the in-process [`ShardedEngine`] at 1 and 4
 //! shards, and the full wire path (`loadgen` against a loopback TCP
 //! server), all interleaved round-robin in one process so ambient load
-//! biases none of them.
+//! biases none of them. Besides best-of rates it prints the median of
+//! each round's own ratios, which a slow or fast round cannot skew.
 //!
 //! Usage: `cargo run --release -p gpm-bench --example serve_probe
 //! [rounds] [nodes] [ticks]` (defaults 4, 10_000, 12).
@@ -103,6 +104,7 @@ fn main() {
 
     let mut best = [0.0f64; 5];
     let mut best_lat = (f64::INFINITY, f64::INFINITY);
+    let mut ratios: [Vec<f64>; 3] = Default::default();
     for round in 0..rounds {
         let direct = direct_rate(&tables, nodes, ticks);
         let sharded1 = sharded_rate(&tables, 1, nodes, ticks);
@@ -124,7 +126,14 @@ fn main() {
         if p50 < best_lat.0 {
             best_lat = (p50, p99);
         }
+        ratios[0].push(sharded1 / direct);
+        ratios[1].push(sharded4 / direct);
+        ratios[2].push(tcp4 / tcp1);
     }
+    let median = |values: &mut Vec<f64>| {
+        values.sort_by(f64::total_cmp);
+        values[values.len() / 2]
+    };
     println!(
         "best-of-{rounds}: direct {:.0}  sharded1 {:.0} ({:.3}x)  sharded4 {:.0} ({:.3}x)  \
          tcp1 {:.0} ({:.3}x)  tcp4 {:.0}  p50 {:.3} ms  p99 {:.3} ms",
@@ -138,5 +147,12 @@ fn main() {
         best[4],
         best_lat.0,
         best_lat.1,
+    );
+    println!(
+        "median in-round ratio of {rounds}: sharded1/direct {:.3}  sharded4/direct {:.3}  \
+         tcp4/tcp1 {:.3}",
+        median(&mut ratios[0]),
+        median(&mut ratios[1]),
+        median(&mut ratios[2]),
     );
 }

@@ -520,8 +520,9 @@ USAGE:
                                 EP is tcp:host:port, unix:path, or bare
                                 host:port (tcp:host:0 binds an ephemeral
                                 port, announced on stdout); --shards K
-                                pins K engines to K worker threads
-                                (node → shard via splitmix64); --faults
+                                partitions nodes across K engines (node →
+                                shard via splitmix64) whose ticks share
+                                the worker pool; --faults
                                 arms the fleet chaos plan on every shard
                                 (degraded mode on); --rack-budget W
                                 splits a whole-rack watt budget evenly

@@ -932,7 +932,7 @@ impl FleetEngine {
                 self.stats.dedup_hits += group.size - 1;
                 avoided_this_tick += group.size;
                 if self.config.cache.verify_hits {
-                    let fresh = self.solve_one(leader);
+                    let fresh = solve_report(&self.config, leader);
                     assert_eq!(
                         combo, fresh,
                         "fleet cache hit diverged from a fresh solve; \
@@ -1020,24 +1020,9 @@ impl FleetEngine {
                         degraded: false,
                     });
                 }
-                Triage::Accept(_) | Triage::FallbackShaped => {
-                    let shape = Some(report);
+                Triage::Accept(_) | Triage::FallbackShaped | Triage::FallbackBlind => {
+                    let shape = (!matches!(disposition, Triage::FallbackBlind)).then_some(report);
                     if let Some((modes, watts)) = self.make_fallback(report.node, shape) {
-                        self.stats.fallback_decisions += 1;
-                        if track_power {
-                            estimates.push(watts);
-                            sources.push(None);
-                        }
-                        out.push(NodeDecision {
-                            node: report.node,
-                            tick: now,
-                            modes,
-                            degraded: true,
-                        });
-                    }
-                }
-                Triage::FallbackBlind => {
-                    if let Some((modes, watts)) = self.make_fallback(report.node, None) {
                         self.stats.fallback_decisions += 1;
                         if track_power {
                             estimates.push(watts);
@@ -1301,11 +1286,6 @@ impl FleetEngine {
         engine.rack_state = checkpoint.rack.clone();
         engine.next_tick = checkpoint.next_tick;
         Ok(engine)
-    }
-
-    /// Solves one report without the cache (verify-hits audit path).
-    fn solve_one(&self, report: &NodeTelemetry) -> ModeCombination {
-        solve_report(&self.config, report)
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! The ROADMAP's fleet north-star is GPM as a long-running service under
 //! heavy traffic. PRs 8–9 built the in-process half; this crate adds the
-//! wire: a compact length-prefixed binary protocol ([`wire`]), a sharded
-//! thread-per-shard server ([`server`], [`shard`]) and a loadgen client
+//! wire: a compact length-prefixed binary protocol ([`wire`]), a
+//! node-sharded server ([`server`], [`shard`]) and a loadgen client
 //! ([`loadgen`]) that replays the same phase-repeating synthetic fleet
 //! as the in-process tier.
 //!
@@ -13,8 +13,8 @@
 //! makes the argument at the chip level that applies here at the fleet
 //! level — a flat single-arbiter manager stops scaling. [`node_shard`]
 //! (one splitmix64 finalizer round modulo the shard count,
-//! re-exported from `gpm_core`) routes each node to a shard-pinned
-//! engine, so K shards run K serial sections concurrently while every
+//! re-exported from `gpm_core`) routes each node to one of K private
+//! engines, whose ticks run concurrently on the `gpm-par` pool while every
 //! determinism pin of the engine survives (see [`shard`] for the
 //! argument).
 //!

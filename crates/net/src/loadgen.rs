@@ -42,7 +42,8 @@ pub struct LoadgenReport {
     pub ticks: usize,
     /// Decisions received during the measured epoch.
     pub decisions: u64,
-    /// Submissions the shard router rejected during the measured epoch.
+    /// Submissions the server did not queue (backpressure or validation)
+    /// during the measured epoch, summed from its `TickDone` frames.
     pub rejected: u64,
     /// Wall seconds the measured epoch took.
     pub elapsed_seconds: f64,
@@ -207,7 +208,7 @@ impl LoadgenReport {
             "Loadgen: {} nodes x {} ticks over the wire\n\
              decisions       {:>12}   sustained {:.0} decisions/s\n\
              tick latency    {:>9.3}ms p50, {:.3}ms p99\n\
-             rejected        {:>12}   (router backpressure)\n",
+             rejected        {:>12}   (backpressure or invalid)\n",
             self.nodes,
             self.ticks,
             self.decisions,

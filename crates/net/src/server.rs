@@ -72,8 +72,8 @@ impl std::fmt::Display for Endpoint {
 pub struct ServeStats {
     /// Shard count the server runs with.
     pub shards: usize,
-    /// Submissions rejected at the shard router (exhausted per-shard
-    /// ingest window).
+    /// Submissions the service did not queue, for backpressure (a full
+    /// shard queue) or validation, counted at every shard count.
     pub router_rejected: u64,
     /// Every shard's engine accounting, merged.
     pub fleet: FleetStats,
@@ -81,7 +81,9 @@ pub struct ServeStats {
 
 /// Server configuration beyond the [`FleetConfig`] each shard gets.
 pub struct ServeOptions {
-    /// Shard count (engines and worker threads). Must be at least 1.
+    /// Shard count: the number of engines the reports are partitioned
+    /// across. Their ticks run on the `gpm-par` pool, so the thread count
+    /// stays bounded by `GPM_THREADS`. Must be at least 1.
     pub shards: usize,
     /// Per-shard engine configuration. A whole-rack budget should be
     /// divided by `shards` before it goes in here (the CLI does this),
@@ -123,7 +125,7 @@ fn io_err(context: &str, err: std::io::Error) -> GpmError {
 }
 
 impl Server {
-    /// Binds the endpoint and spins up the sharded engine.
+    /// Binds the endpoint and builds the sharded engine.
     ///
     /// # Errors
     ///

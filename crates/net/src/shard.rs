@@ -1,45 +1,35 @@
-//! The sharded decision engine: node-id → shard routing over
-//! thread-pinned [`FleetEngine`]s.
+//! The sharded decision engine: K private [`FleetEngine`]s behind a
+//! node-id router.
 //!
-//! Each shard is a worker thread owning a private engine — private
-//! decision cache, private bounded ingest queue — fed by a bounded
-//! chunked conveyor: the router buffers accepted reports and ships them
-//! in [`ROUTER_CHUNK`]-sized batches, so a 10k-node tick costs a
-//! handful of channel messages instead of one per node. The PR 8
-//! backpressure semantics survive the hop: the router counts reports
-//! accepted per shard since the last tick cut against the engine's own
-//! `queue_capacity` and rejects the overflow with the same `retry_at`
-//! advice the engine itself would give — a pure function of the
-//! submission sequence, independent of worker drain speed. A tick
-//! barrier ([`ShardedEngine::run_tick`]) flushes the conveyors,
-//! broadcasts the tick cut to every shard, lets the per-shard batches
-//! decide in parallel, then collects decisions in shard order.
-//!
-//! At **one shard** there is no cross-shard parallelism to win, so the
-//! conveyor hop would be pure tax (~8% of a 10k-node tick on one core:
-//! the extra telemetry moves plus producer/worker switching). A 1-shard
-//! engine therefore runs inline on the caller's thread — same engine,
-//! same submission order, bit-identical decisions — and submissions get
-//! the engine's own richer outcome (validation failures and
-//! backoff-aware retry hints surface synchronously).
+//! Shards share nothing — each engine owns its decision cache and its
+//! bounded ingest queue — so sharding is a plain partition by
+//! [`node_shard`]. A submission goes straight to its node's engine on the
+//! caller's thread and returns that engine's own [`SubmitOutcome`]
+//! (validation failures and backoff-aware retry hints included): the
+//! engine's `queue_capacity` is the one ingest bound, with no second
+//! window in front of it. A tick cut ([`ShardedEngine::run_tick`]) runs
+//! the K engine ticks through [`gpm_par::parallel_map`] and joins their
+//! batches in shard order. Shard parallelism is therefore bounded by the
+//! pool width (`GPM_THREADS`), not by K, and the engine starts no
+//! threads of its own. At K = 1 the map runs its one item inline, so the
+//! engine's own Phase D solve fan-out keeps the pool; at K ≥ 2 each
+//! shard tick runs on a pool worker and its inner fan-out runs inline.
 //!
 //! # Determinism
 //!
 //! Shard assignment is [`node_shard`] — one splitmix64 finalizer round
 //! modulo the shard count, a pure function of the node id. Within a
-//! shard, submissions arrive in client order (conveyor FIFO, inline
-//! call order at one shard) and the engine's own tick protocol is
-//! pool-width independent, so for a fixed shard count the per-node
-//! decision stream is bit-identical across `GPM_THREADS` settings and
-//! transports. Across *different* shard counts the per-node stream is
-//! still invariant (sharding only changes which cache answers a node,
-//! and exact-keyed cache hits are bit-identical to fresh solves) —
-//! unless a rack budget is configured: rack shedding reacts to the
+//! shard, submissions arrive in client call order and the engine's own
+//! tick protocol is pool-width independent, so for a fixed shard count
+//! the per-node decision stream is bit-identical across `GPM_THREADS`
+//! settings and transports. Across *different* shard counts the per-node
+//! stream is still invariant (sharding only changes which cache answers
+//! a node, and exact-keyed cache hits are bit-identical to fresh solves)
+//! — unless a rack budget is configured: rack shedding reacts to the
 //! co-resident nodes of the same engine, so rack-armed decisions are
 //! deterministic per shard count but not invariant across shard counts.
 
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
 use gpm_core::{
     node_shard, FleetCheckpoint, FleetConfig, FleetEngine, FleetStats, NodeDecision, NodeTelemetry,
@@ -47,108 +37,25 @@ use gpm_core::{
 };
 use gpm_types::{Result, Watts};
 
-/// Reports per conveyor batch. Chunking keeps the channel cost per tick
-/// at a handful of sends instead of one per node (the per-message hop
-/// was worth ~15% of a 10k-node tick on one core, and every handoff to
-/// a parked worker is a potential context switch) while still letting
-/// the shard start validating long batches before the tick is cut.
-const ROUTER_CHUNK: usize = 4096;
-
-enum ShardMsg {
-    Submit(Vec<NodeTelemetry>),
-    Tick(u64),
-    Stats,
-    Checkpoint,
-    SetRackBudget(Option<Watts>),
-    Stop,
-}
-
-enum ShardReply {
-    Tick(Vec<NodeDecision>),
-    Stats(FleetStats),
-    Checkpoint(FleetCheckpoint),
-}
-
-struct Shard {
-    sender: SyncSender<ShardMsg>,
-    replies: Receiver<ShardReply>,
-    worker: Option<JoinHandle<()>>,
-    /// Reports accepted but not yet conveyed (partial chunk).
-    buffer: Vec<NodeTelemetry>,
-    /// Reports accepted since the last tick cut — the router's bounded
-    /// ingest window, checked against `capacity` so transport
-    /// backpressure is a pure function of the submission sequence, not
-    /// of how fast the worker drains.
-    queued: usize,
-    /// The shard engine's `queue_capacity`.
-    capacity: usize,
-}
-
-impl Shard {
-    /// Conveys the buffered chunk to the worker. The channel is sized so
-    /// a within-capacity tick never fills it; a full or disconnected
-    /// channel (worker died) surfaces as `false`.
-    fn flush(&mut self) -> bool {
-        if self.buffer.is_empty() {
-            return true;
-        }
-        let chunk = std::mem::replace(&mut self.buffer, Vec::with_capacity(ROUTER_CHUNK));
-        self.sender.send(ShardMsg::Submit(chunk)).is_ok()
-    }
-}
-
-enum Backend {
-    /// One shard: the engine runs on the caller's thread.
-    Inline(Box<FleetEngine>),
-    /// Two or more shards: thread-pinned engines behind conveyors.
-    Threaded(Vec<Shard>),
-}
-
-/// K shard-pinned [`FleetEngine`]s behind a node-id router (the engine
-/// runs inline, conveyor-free, at K = 1).
+/// K [`FleetEngine`]s partitioned by [`node_shard`]. Each engine sits in
+/// its own `Mutex` only so a tick can hand the engines to pool workers;
+/// every other access goes through `&mut self` and takes no lock.
 pub struct ShardedEngine {
-    backend: Backend,
-    next_tick: u64,
+    engines: Vec<Mutex<FleetEngine>>,
     router_rejected: u64,
 }
 
-fn worker_main(
-    mut engine: FleetEngine,
-    inbox: Receiver<ShardMsg>,
-    replies: SyncSender<ShardReply>,
-) {
-    while let Ok(msg) = inbox.recv() {
-        let reply = match msg {
-            ShardMsg::Submit(chunk) => {
-                // Outcomes land in the engine's own accounting
-                // (rejected_invalid / rejected_backpressure); the router's
-                // ingest window already applied the transport-level
-                // backpressure.
-                for telemetry in chunk {
-                    engine.try_submit(telemetry);
-                }
-                continue;
-            }
-            ShardMsg::Tick(now) => ShardReply::Tick(engine.run_tick(now)),
-            ShardMsg::Stats => ShardReply::Stats(engine.stats()),
-            ShardMsg::Checkpoint => ShardReply::Checkpoint(engine.checkpoint()),
-            ShardMsg::SetRackBudget(budget) => {
-                engine.set_rack_budget(budget);
-                continue;
-            }
-            ShardMsg::Stop => break,
-        };
-        if replies.send(reply).is_err() {
-            break;
-        }
-    }
+/// Why a poisoned cell is fatal: only a tick that panicked on a pool
+/// worker poisons it, and that tick may have left its engine half-updated.
+const POISONED: &str = "a shard engine panicked mid-tick";
+
+/// The engine in `cell`, lock-free under `&mut`.
+fn engine(cell: &mut Mutex<FleetEngine>) -> &mut FleetEngine {
+    cell.get_mut().expect(POISONED)
 }
 
 impl ShardedEngine {
-    /// Builds `shards` engines from per-shard configs. At one shard the
-    /// engine runs inline; otherwise each is pinned to a worker thread.
-    /// Engines are constructed on the caller's thread either way, so
-    /// config errors surface synchronously.
+    /// Builds one engine per config, in shard order.
     ///
     /// # Errors
     ///
@@ -187,46 +94,15 @@ impl ShardedEngine {
         )
     }
 
-    fn from_engines(mut engines: Vec<FleetEngine>) -> Result<Self> {
+    fn from_engines(engines: Vec<FleetEngine>) -> Result<Self> {
         if engines.is_empty() {
             return Err(gpm_types::GpmError::InvalidConfig {
                 parameter: "serve.shards",
                 reason: "the sharded engine needs at least one shard".into(),
             });
         }
-        let backend = if engines.len() == 1 {
-            Backend::Inline(Box::new(engines.pop().expect("length checked")))
-        } else {
-            Backend::Threaded(
-                engines
-                    .into_iter()
-                    .map(|engine| {
-                        let capacity = engine.config().queue_capacity;
-                        // Sized in chunks so one full ingest window
-                        // (`capacity` reports) plus its partial tail and
-                        // the tick cut always fit without blocking: the
-                        // bound on queued *reports* is the router's
-                        // `queued` counter, not the channel.
-                        let messages = capacity.div_ceil(ROUTER_CHUNK) + 2;
-                        let (sender, inbox) = std::sync::mpsc::sync_channel(messages);
-                        let (reply_sender, replies) = std::sync::mpsc::sync_channel(1);
-                        let worker =
-                            std::thread::spawn(move || worker_main(engine, inbox, reply_sender));
-                        Shard {
-                            sender,
-                            replies,
-                            worker: Some(worker),
-                            buffer: Vec::with_capacity(ROUTER_CHUNK),
-                            queued: 0,
-                            capacity,
-                        }
-                    })
-                    .collect(),
-            )
-        };
         Ok(Self {
-            backend,
-            next_tick: 0,
+            engines: engines.into_iter().map(Mutex::new).collect(),
             router_rejected: 0,
         })
     }
@@ -234,84 +110,46 @@ impl ShardedEngine {
     /// Shard count.
     #[must_use]
     pub fn shards(&self) -> usize {
-        match &self.backend {
-            Backend::Inline(_) => 1,
-            Backend::Threaded(shards) => shards.len(),
-        }
+        self.engines.len()
     }
 
-    /// Submissions the router rejected because a shard's ingest window
-    /// was exhausted. Always zero at one shard: the inline engine
-    /// accounts its own rejections (`rejected_backpressure`).
+    /// Submissions that were not queued, for backpressure or validation,
+    /// since the engine was built: the count of [`try_submit`] calls that
+    /// returned anything but [`SubmitOutcome::Accepted`].
+    ///
+    /// [`try_submit`]: ShardedEngine::try_submit
     #[must_use]
     pub fn router_rejected(&self) -> u64 {
         self.router_rejected
     }
 
-    /// Routes one report to its node's shard. A shard whose ingest
-    /// window (its engine's `queue_capacity`, counted since the last
-    /// tick cut) is exhausted rejects the report with the next tick as
-    /// the retry advice, mirroring the engine's own bounded-queue
-    /// semantics — and because the window is a counter, not a race
-    /// against the worker's drain speed, the rejection pattern is a pure
-    /// function of the submission sequence. Validation happens on the
-    /// shard; an invalid report is accepted here and counted in the
-    /// shard's `rejected_invalid`. Accepted reports travel to the worker
-    /// in [`ROUTER_CHUNK`]-sized batches.
-    ///
-    /// At one shard the report goes straight to the inline engine and
-    /// its own [`SubmitOutcome`] (including validation failures and
-    /// backoff-aware retry hints) is returned directly.
+    /// Routes one report to its node's shard engine and returns that
+    /// engine's own outcome: [`SubmitOutcome::Invalid`] for a report that
+    /// fails validation, [`SubmitOutcome::Rejected`] (with the engine's
+    /// retry advice, per-node backoff in degraded mode) when the shard's
+    /// `queue_capacity` is exhausted.
     pub fn try_submit(&mut self, telemetry: NodeTelemetry) -> SubmitOutcome {
-        let shards = match &mut self.backend {
-            Backend::Inline(engine) => return engine.try_submit(telemetry),
-            Backend::Threaded(shards) => shards,
-        };
-        let index = node_shard(telemetry.node, shards.len());
-        let shard = &mut shards[index];
-        if shard.queued >= shard.capacity {
+        let index = node_shard(telemetry.node, self.engines.len());
+        let outcome = engine(&mut self.engines[index]).try_submit(telemetry);
+        if outcome != SubmitOutcome::Accepted {
             self.router_rejected += 1;
-            return SubmitOutcome::Rejected {
-                retry_at: self.next_tick + 1,
-            };
         }
-        shard.queued += 1;
-        shard.buffer.push(telemetry);
-        if shard.buffer.len() >= ROUTER_CHUNK && !shard.flush() {
-            self.router_rejected += 1;
-            return SubmitOutcome::Rejected {
-                retry_at: self.next_tick + 1,
-            };
-        }
-        SubmitOutcome::Accepted
+        outcome
     }
 
-    /// Cuts the tick on every shard and collects decisions in shard
-    /// order. The barrier broadcasts first, so shards decide their
-    /// batches in parallel; the collection order (shard 0, 1, …) keeps
-    /// the concatenated stream deterministic for a fixed shard count.
+    /// Cuts the tick on every shard and returns the decisions in shard
+    /// order (shard 0's batch, then shard 1's, …), which keeps the
+    /// concatenated stream deterministic for a fixed shard count.
     pub fn run_tick(&mut self, now: u64) -> Vec<NodeDecision> {
-        self.next_tick = now + 1;
-        let shards = match &mut self.backend {
-            Backend::Inline(engine) => return engine.run_tick(now),
-            Backend::Threaded(shards) => shards,
-        };
-        for shard in shards.iter_mut() {
-            shard.flush();
-            shard.queued = 0;
-            let _ = shard.sender.send(ShardMsg::Tick(now));
-        }
-        let mut decisions = Vec::new();
-        for shard in shards.iter() {
-            if let Ok(ShardReply::Tick(batch)) = shard.replies.recv() {
-                if decisions.is_empty() {
-                    // Shard 0's batch is kept, not copied: only the later
-                    // shards' few hundred KB are appended.
-                    decisions = batch;
-                } else {
-                    decisions.extend(batch);
-                }
-            }
+        let batches = gpm_par::parallel_map(&self.engines, |cell| {
+            cell.lock().expect(POISONED).run_tick(now)
+        });
+        let mut batches = batches.into_iter();
+        // Shard 0's batch is kept, not copied: only the later shards'
+        // batches are appended.
+        let mut decisions = batches.next().unwrap_or_default();
+        for batch in batches {
+            decisions.extend(batch);
         }
         decisions
     }
@@ -319,19 +157,9 @@ impl ShardedEngine {
     /// Aggregated accounting: every shard's [`FleetStats`] merged
     /// (counters summed, running maxima maxed).
     pub fn stats(&mut self) -> FleetStats {
-        let shards = match &mut self.backend {
-            Backend::Inline(engine) => return engine.stats(),
-            Backend::Threaded(shards) => shards,
-        };
         let mut merged = FleetStats::default();
-        for shard in shards.iter_mut() {
-            shard.flush();
-            let _ = shard.sender.send(ShardMsg::Stats);
-        }
-        for shard in shards.iter() {
-            if let Ok(ShardReply::Stats(stats)) = shard.replies.recv() {
-                merged.merge(&stats);
-            }
+        for cell in &mut self.engines {
+            merged.merge(&engine(cell).stats());
         }
         merged
     }
@@ -339,51 +167,18 @@ impl ShardedEngine {
     /// One checkpoint per shard, in shard order — the restore-side
     /// counterpart is [`ShardedEngine::restore`].
     pub fn checkpoint(&mut self) -> Vec<FleetCheckpoint> {
-        let shards = match &mut self.backend {
-            Backend::Inline(engine) => return vec![engine.checkpoint()],
-            Backend::Threaded(shards) => shards,
-        };
-        for shard in shards.iter_mut() {
-            shard.flush();
-            let _ = shard.sender.send(ShardMsg::Checkpoint);
-        }
-        let mut checkpoints = Vec::with_capacity(shards.len());
-        for shard in shards.iter() {
-            if let Ok(ShardReply::Checkpoint(checkpoint)) = shard.replies.recv() {
-                checkpoints.push(checkpoint);
-            }
-        }
-        checkpoints
+        self.engines
+            .iter_mut()
+            .map(|cell| engine(cell).checkpoint())
+            .collect()
     }
 
     /// Re-arms every shard's rack budget (each shard gets the given
     /// budget as-is; the server divides a whole-rack budget by the shard
     /// count before calling this).
     pub fn set_rack_budget(&mut self, budget: Option<Watts>) {
-        let shards = match &mut self.backend {
-            Backend::Inline(engine) => return engine.set_rack_budget(budget),
-            Backend::Threaded(shards) => shards,
-        };
-        for shard in shards.iter_mut() {
-            shard.flush();
-            let _ = shard.sender.send(ShardMsg::SetRackBudget(budget));
-        }
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        let shards = match &mut self.backend {
-            Backend::Inline(_) => return,
-            Backend::Threaded(shards) => shards,
-        };
-        for shard in shards.iter() {
-            let _ = shard.sender.send(ShardMsg::Stop);
-        }
-        for shard in shards.iter_mut() {
-            if let Some(worker) = shard.worker.take() {
-                let _ = worker.join();
-            }
+        for cell in &mut self.engines {
+            engine(cell).set_rack_budget(budget);
         }
     }
 }

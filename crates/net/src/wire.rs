@@ -72,8 +72,8 @@ pub enum Frame {
         tick: u64,
         /// Decisions streamed for the tick.
         decisions: u64,
-        /// Submissions the shard router rejected for the tick
-        /// (transport-level backpressure).
+        /// Submissions for the tick the server did not queue
+        /// (backpressure or validation).
         rejected: u64,
     },
     /// Ask the server for its aggregated accounting.

@@ -102,19 +102,22 @@ cargo clippy -p gpm-net --all-targets -- -D warnings
 
 # Loopback serve smoke: `gpm serve` + `gpm loadgen` must keep running end
 # to end from the CLI over both transports — a Unix socket under a serial
-# pool and TCP under a saturated pool. `--once` exits the server after the
-# client disconnects; the retry loop absorbs bind latency.
+# pool and TCP under a saturated pool — at one shard and at two. `--once`
+# exits the server after the client disconnects; the retry loop absorbs
+# bind latency. The loadgen's JSON report must account for every measured
+# report: nodes x ticks decisions streamed and none rejected.
 serve_smoke() {
-    local threads="$1" listen="$2" connect="$3"
-    echo "==> GPM_THREADS=$threads gpm serve --listen $listen + loadgen smoke"
+    local threads="$1" shards="$2" listen="$3" connect="$4"
+    local nodes=64 ticks=4 report
+    echo "==> GPM_THREADS=$threads gpm serve --listen $listen --shards $shards + loadgen smoke"
     GPM_THREADS="$threads" cargo run --release --quiet -p gpm-cli -- \
-        serve --listen "$listen" --shards 2 --once > /dev/null &
+        serve --listen "$listen" --shards "$shards" --once > /dev/null &
     local server_pid=$!
     local attempt
     for attempt in $(seq 1 50); do
-        if GPM_THREADS="$threads" cargo run --release --quiet -p gpm-cli -- \
-            loadgen --connect "$connect" --nodes 64 --ticks 4 --shutdown \
-            > /dev/null 2>&1; then
+        if report="$(GPM_THREADS="$threads" cargo run --release --quiet -p gpm-cli -- \
+            loadgen --connect "$connect" --nodes "$nodes" --ticks "$ticks" --json \
+            --shutdown 2> /dev/null)"; then
             break
         fi
         if [ "$attempt" -eq 50 ]; then
@@ -125,11 +128,21 @@ serve_smoke() {
         sleep 0.1
     done
     wait "$server_pid"
+    python3 - "$nodes" "$ticks" "$report" << 'EOF'
+import json
+import sys
+
+nodes, ticks, report = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
+assert report["decisions"] == nodes * ticks, f"decisions != {nodes} x {ticks}: {report}"
+assert report["rejected"] == 0, f"rejected submissions: {report}"
+EOF
 }
 GPM_SERVE_SOCK="$(mktemp -u /tmp/gpm-ci-serve.XXXXXX.sock)"
-serve_smoke 1 "unix:$GPM_SERVE_SOCK" "unix:$GPM_SERVE_SOCK"
+serve_smoke 1 1 "unix:$GPM_SERVE_SOCK" "unix:$GPM_SERVE_SOCK"
+serve_smoke 1 2 "unix:$GPM_SERVE_SOCK" "unix:$GPM_SERVE_SOCK"
 rm -f "$GPM_SERVE_SOCK"
-serve_smoke 8 "tcp:127.0.0.1:47391" "tcp:127.0.0.1:47391"
+serve_smoke 8 1 "tcp:127.0.0.1:47391" "tcp:127.0.0.1:47391"
+serve_smoke 8 2 "tcp:127.0.0.1:47392" "tcp:127.0.0.1:47392"
 
 # 16-way wide-CMP smoke: the scaling tier must keep running end to end
 # from the CLI (exact MaxBIPS vs greedy on a 3^16 search space).

@@ -23,8 +23,8 @@
 //!   policies: MaxBIPS, Priority, PullHiPushLo, ChipWide, Oracle, greedy.
 //! * [`faults`] — seeded fault injection at the sensor/actuator seam and
 //!   the guard rails hardening the manager against it.
-//! * [`net`] — the fleet decision service: binary wire protocol, sharded
-//!   thread-per-shard server, loadgen client.
+//! * [`net`] — the fleet decision service: binary wire protocol,
+//!   node-sharded server, loadgen client.
 //! * [`experiments`] — drivers regenerating every table and figure.
 //!
 //! # Quickstart

@@ -16,13 +16,22 @@
 //!    Unix socket yields bit-identical decision streams.
 //! 5. **Checkpoint/restore** — a sharded service restored from its
 //!    per-shard checkpoints continues bit-identically.
+//! 6. **Submit contract** — a [`ShardedEngine`] answers every submission
+//!    exactly as the [`FleetEngine`] owning the node would, at every
+//!    shard count, and `router_rejected` counts every submission it did
+//!    not queue.
+//! 7. **Wire accounting** — each `TickDone` accounts for every telemetry
+//!    frame of its tick: `decisions + rejected == frames submitted`.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
 use std::sync::Mutex;
 
 use gpm::core::fleet_load::PhaseTables;
-use gpm::core::{node_shard, FleetConfig, FleetEngine, NodeDecision, NodeTelemetry};
+use gpm::core::{
+    node_shard, DegradedConfig, FleetConfig, FleetEngine, FleetStats, NodeDecision, NodeTelemetry,
+    SubmitOutcome,
+};
 use gpm::net::wire::{
     self, decode_frame, encode_frame, Frame, FrameReader, MAX_FRAME_BYTES, WIRE_VERSION,
 };
@@ -226,6 +235,176 @@ fn tcp_and_unix_transports_yield_identical_streams() {
     let over_unix = drive_transport(&Endpoint::Unix(socket), 2);
     assert_eq!(over_tcp, over_unix);
     assert_eq!(over_tcp.len(), NODES * TICKS as usize);
+}
+
+/// Capacity of every shard queue in the accounting tests: small enough
+/// that the odd ticks' full-fleet bursts overflow it at 1, 2 and 4 shards.
+const SMALL_QUEUE: usize = 16;
+
+/// Tick `tick`'s reports for the accounting tests. Even ticks send a
+/// burst that fits every shard queue, odd ticks send all [`NODES`], and
+/// every seventh report carries a negative budget, which fails the
+/// engine's validation.
+fn accounting_load(tables: &PhaseTables, tick: u64) -> Vec<NodeTelemetry> {
+    let burst = if tick.is_multiple_of(2) {
+        12
+    } else {
+        NODES as u64
+    };
+    (0..burst)
+        .map(|node| {
+            let mut report = tables.telemetry(node, tick);
+            if (node + tick).is_multiple_of(7) {
+                report.budget = Watts::new(-1.0);
+            }
+            report
+        })
+        .collect()
+}
+
+/// Stats with the wall-clock solver timings cleared: the rest of the
+/// accounting is a pure function of the submission sequence.
+fn untimed(mut stats: FleetStats) -> FleetStats {
+    stats.solver_us_spent = 0.0;
+    stats.solver_us_saved = 0.0;
+    stats
+}
+
+#[test]
+fn sharded_submit_matches_standalone_engines() {
+    let tables = PhaseTables::build();
+    let config = FleetConfig {
+        queue_capacity: SMALL_QUEUE,
+        degraded: Some(DegradedConfig::default()),
+        ..FleetConfig::default()
+    };
+    for shards in [1, 2, 4] {
+        let mut sharded = ShardedEngine::homogeneous(&config, shards).expect("config is valid");
+        let mut standalone: Vec<FleetEngine> = (0..shards)
+            .map(|_| FleetEngine::new(config.clone()).expect("config is valid"))
+            .collect();
+        let mut sharded_outcomes: BTreeMap<u64, Vec<SubmitOutcome>> = BTreeMap::new();
+        let mut standalone_outcomes: BTreeMap<u64, Vec<SubmitOutcome>> = BTreeMap::new();
+        let mut not_accepted = 0u64;
+        let mut invalid = 0u64;
+        for tick in 0..TICKS {
+            for report in accounting_load(&tables, tick) {
+                let node = report.node;
+                let expected = standalone[node_shard(node, shards)].try_submit(report.clone());
+                not_accepted += u64::from(expected != SubmitOutcome::Accepted);
+                invalid += u64::from(expected == SubmitOutcome::Invalid);
+                standalone_outcomes.entry(node).or_default().push(expected);
+                sharded_outcomes
+                    .entry(node)
+                    .or_default()
+                    .push(sharded.try_submit(report));
+            }
+            let expected: Vec<NodeDecision> = standalone
+                .iter_mut()
+                .flat_map(|engine| engine.run_tick(tick))
+                .collect();
+            assert_eq!(
+                sharded.run_tick(tick),
+                expected,
+                "decisions diverged at {shards} shards, tick {tick}"
+            );
+        }
+        assert!(
+            invalid > 0 && not_accepted > invalid,
+            "the load must hit both validation and backpressure"
+        );
+        assert_eq!(
+            sharded_outcomes, standalone_outcomes,
+            "submit outcomes diverged at {shards} shards"
+        );
+        let mut merged = FleetStats::default();
+        for engine in &standalone {
+            merged.merge(&engine.stats());
+        }
+        assert_eq!(untimed(sharded.stats()), untimed(merged));
+        assert_eq!(
+            sharded.router_rejected(),
+            not_accepted,
+            "router_rejected must count every submission not queued at {shards} shards"
+        );
+    }
+}
+
+/// Drives [`accounting_load`] through a loopback server and returns each
+/// tick's `(frames submitted, decisions streamed, TickDone.decisions,
+/// TickDone.rejected)`.
+fn drive_accounting(shards: usize) -> Vec<(u64, u64, u64, u64)> {
+    let server = Server::bind(
+        &Endpoint::Tcp("127.0.0.1:0".into()),
+        ServeOptions {
+            shards,
+            config: FleetConfig {
+                queue_capacity: SMALL_QUEUE,
+                ..FleetConfig::default()
+            },
+            once: true,
+        },
+    )
+    .expect("server binds");
+    let bound = server.local_endpoint();
+    let handle = std::thread::spawn(move || server.run().expect("server runs"));
+
+    let tables = PhaseTables::build();
+    let stream = connect(&bound).expect("client connects");
+    let mut writer = BufWriter::new(stream.try_clone().expect("stream clones"));
+    let mut reader = FrameReader::new(BufReader::new(stream));
+    let mut out = Vec::new();
+    let mut ticks = Vec::new();
+    for tick in 0..TICKS {
+        let load = accounting_load(&tables, tick);
+        out.clear();
+        for report in &load {
+            wire::encode_telemetry(report, &mut out);
+        }
+        wire::encode_tick_end(tick, &mut out);
+        wire::write_all(&mut writer, &out).expect("tick writes");
+        let mut streamed = 0u64;
+        loop {
+            match reader.read().expect("tick readback") {
+                Some(Frame::Decision(_)) => streamed += 1,
+                Some(Frame::TickDone {
+                    tick: done,
+                    decisions,
+                    rejected,
+                }) => {
+                    assert_eq!(done, tick);
+                    ticks.push((load.len() as u64, streamed, decisions, rejected));
+                    break;
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+    drop(writer);
+    drop(reader);
+    handle.join().expect("server thread joins");
+    ticks
+}
+
+#[test]
+fn tick_done_accounts_for_every_submitted_frame() {
+    for shards in [1, 2] {
+        let ticks = drive_accounting(shards);
+        assert!(
+            ticks
+                .iter()
+                .any(|&(submitted, ..)| submitted > SMALL_QUEUE as u64),
+            "the load must overflow the queue"
+        );
+        for (tick, &(submitted, streamed, decisions, rejected)) in ticks.iter().enumerate() {
+            assert_eq!(streamed, decisions, "tick {tick} at {shards} shards");
+            assert_eq!(
+                decisions + rejected,
+                submitted,
+                "tick {tick} at {shards} shards: {decisions} decisions + {rejected} rejected"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
