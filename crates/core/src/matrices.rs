@@ -1,5 +1,7 @@
 //! The Power and BIPS matrices of Section 5.5.
 
+use std::fmt;
+
 use gpm_cmp::{CoreObservation, TraceCmpSim};
 use gpm_power::DvfsParams;
 use gpm_types::{Bips, CoreId, Micros, ModeCombination, PowerMode, Watts};
@@ -41,10 +43,26 @@ use gpm_types::{Bips, CoreId, Micros, ModeCombination, PowerMode, Watts};
 /// let b_eff2 = m.bips(CoreId::new(0), PowerMode::Eff2);
 /// assert!((b_eff2.value() - 1.9 / 0.95 * 0.85).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The two matrices live in one allocation — the power rows, then the
+/// BIPS rows — and the type is immutable, so every constructor checks the
+/// cells once while they are hot and [`cells_valid`](Self::cells_valid)
+/// returns the stored answer.
+#[derive(Clone, PartialEq)]
 pub struct PowerBipsMatrices {
-    power: Vec<[f64; PowerMode::COUNT]>,
-    bips: Vec<[f64; PowerMode::COUNT]>,
+    /// `cores` power rows followed by `cores` BIPS rows.
+    rows: Vec<[f64; PowerMode::COUNT]>,
+    /// Whether every cell is finite and non-negative.
+    valid: bool,
+}
+
+impl fmt::Debug for PowerBipsMatrices {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PowerBipsMatrices")
+            .field("power", &self.power_rows())
+            .field("bips", &self.bips_rows())
+            .finish()
+    }
 }
 
 impl PowerBipsMatrices {
@@ -52,15 +70,16 @@ impl PowerBipsMatrices {
     /// predictive controller of Section 5.5).
     #[must_use]
     pub fn predict(observed: &[CoreObservation]) -> Self {
-        let mut power = Vec::with_capacity(observed.len());
-        let mut bips = Vec::with_capacity(observed.len());
-        for obs in observed {
+        let mut rows = Vec::with_capacity(2 * observed.len());
+        rows.extend(observed.iter().map(|obs| {
             let p_turbo = obs.power.value() / obs.mode.power_scale();
+            PowerMode::ALL.map(|m| p_turbo * m.power_scale())
+        }));
+        rows.extend(observed.iter().map(|obs| {
             let b_turbo = obs.bips.value() / obs.mode.bips_scale_bound();
-            power.push(PowerMode::ALL.map(|m| p_turbo * m.power_scale()));
-            bips.push(PowerMode::ALL.map(|m| b_turbo * m.bips_scale_bound()));
-        }
-        Self { power, bips }
+            PowerMode::ALL.map(|m| b_turbo * m.bips_scale_bound())
+        }));
+        Self::from_stacked_rows(rows)
     }
 
     /// Builds *oracle* matrices by reading each core's actual per-mode
@@ -69,20 +88,15 @@ impl PowerBipsMatrices {
     #[must_use]
     pub fn from_future(sim: &TraceCmpSim) -> Self {
         let cores = sim.cores();
-        let mut power = Vec::with_capacity(cores);
-        let mut bips = Vec::with_capacity(cores);
+        let mut rows = vec![[0.0; PowerMode::COUNT]; 2 * cores];
         for core in CoreId::all(cores) {
-            let mut p_row = [0.0; PowerMode::COUNT];
-            let mut b_row = [0.0; PowerMode::COUNT];
             for mode in PowerMode::ALL {
                 let (b, p) = sim.peek_future(core, mode);
-                p_row[mode.index()] = p.value();
-                b_row[mode.index()] = b.value();
+                rows[core.value()][mode.index()] = p.value();
+                rows[cores + core.value()][mode.index()] = b.value();
             }
-            power.push(p_row);
-            bips.push(b_row);
         }
-        Self { power, bips }
+        Self::from_stacked_rows(rows)
     }
 
     /// Builds matrices from explicit rows (tests, custom controllers).
@@ -96,13 +110,37 @@ impl PowerBipsMatrices {
         bips: Vec<[f64; PowerMode::COUNT]>,
     ) -> Self {
         assert_eq!(power.len(), bips.len(), "row count mismatch");
-        Self { power, bips }
+        let mut rows = power;
+        rows.extend_from_slice(&bips);
+        Self::from_stacked_rows(rows)
+    }
+
+    /// Builds matrices from one vector holding the power rows followed by
+    /// the BIPS rows (the wire decoder's layout), taking it as storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` has an odd length.
+    #[must_use]
+    pub fn from_stacked_rows(rows: Vec<[f64; PowerMode::COUNT]>) -> Self {
+        assert!(
+            rows.len().is_multiple_of(2),
+            "stacked row count {} is odd",
+            rows.len()
+        );
+        // One branch-free pass: `0 <= cell < inf` is false for NaN, both
+        // infinities and negative cells, true for -0.0 and subnormals.
+        let valid = rows
+            .iter()
+            .flatten()
+            .fold(true, |ok, &cell| ok & (0.0..f64::INFINITY).contains(&cell));
+        Self { rows, valid }
     }
 
     /// Number of cores covered.
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.power.len()
+        self.rows.len() / 2
     }
 
     /// Predicted power of `core` in `mode`.
@@ -112,7 +150,7 @@ impl PowerBipsMatrices {
     /// Panics if `core` is out of range.
     #[must_use]
     pub fn power(&self, core: CoreId, mode: PowerMode) -> Watts {
-        Watts::new(self.power[core.value()][mode.index()])
+        Watts::new(self.power_rows()[core.value()][mode.index()])
     }
 
     /// Predicted throughput of `core` in `mode`.
@@ -122,41 +160,37 @@ impl PowerBipsMatrices {
     /// Panics if `core` is out of range.
     #[must_use]
     pub fn bips(&self, core: CoreId, mode: PowerMode) -> Bips {
-        Bips::new(self.bips[core.value()][mode.index()])
+        Bips::new(self.bips_rows()[core.value()][mode.index()])
     }
 
     /// The power matrix, one `[Turbo, Eff1, Eff2]` row per core.
     #[must_use]
     pub fn power_rows(&self) -> &[[f64; PowerMode::COUNT]] {
-        &self.power
+        &self.rows[..self.cores()]
     }
 
     /// The BIPS matrix, one `[Turbo, Eff1, Eff2]` row per core.
     #[must_use]
     pub fn bips_rows(&self) -> &[[f64; PowerMode::COUNT]] {
-        &self.bips
+        &self.rows[self.cores()..]
     }
 
     /// Whether every power and BIPS cell is finite and non-negative — the
-    /// fleet engine's telemetry-validation fast path (one contiguous scan,
-    /// no per-cell accessor indirection).
+    /// fleet engine's telemetry validation. Computed once at
+    /// construction, so this reads no cell.
     #[must_use]
     pub fn cells_valid(&self) -> bool {
-        let ok = |rows: &[[f64; PowerMode::COUNT]]| {
-            rows.iter()
-                .flatten()
-                .all(|&cell| cell.is_finite() && cell >= 0.0)
-        };
-        ok(&self.power) && ok(&self.bips)
+        self.valid
     }
 
     /// Predicted total chip power under a mode combination.
     #[must_use]
     pub fn chip_power(&self, combo: &ModeCombination) -> Watts {
+        let power = self.power_rows();
         Watts::new(
             combo
                 .iter()
-                .map(|(core, mode)| self.power[core.value()][mode.index()])
+                .map(|(core, mode)| power[core.value()][mode.index()])
                 .sum(),
         )
     }
@@ -165,10 +199,11 @@ impl PowerBipsMatrices {
     /// transition costs.
     #[must_use]
     pub fn chip_bips(&self, combo: &ModeCombination) -> Bips {
+        let bips = self.bips_rows();
         Bips::new(
             combo
                 .iter()
-                .map(|(core, mode)| self.bips[core.value()][mode.index()])
+                .map(|(core, mode)| bips[core.value()][mode.index()])
                 .sum(),
         )
     }
@@ -197,6 +232,12 @@ impl PowerBipsMatrices {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use gpm_cmp::SimParams;
+    use gpm_trace::{BenchmarkTraces, ModeTrace, TraceSample};
+    use proptest::prelude::*;
+
     use super::*;
 
     fn obs(mode: PowerMode, power: f64, bips: f64) -> CoreObservation {
@@ -262,5 +303,101 @@ mod tests {
     #[should_panic(expected = "row count mismatch")]
     fn from_rows_validates() {
         let _ = PowerBipsMatrices::from_rows(vec![[0.0; 3]], vec![]);
+    }
+
+    /// A cell drawn mostly from `[0, 100)`, with NaN, both infinities,
+    /// -0.0, positive and negative subnormals and negative values mixed in.
+    fn cell() -> impl Strategy<Value = f64> {
+        (0u32..48, 0.0f64..100.0).prop_map(|(kind, x)| match kind {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => f64::MIN_POSITIVE * x / 200.0,
+            5 => -f64::MIN_POSITIVE / 4.0,
+            6 => -x - 1e-3,
+            _ => x,
+        })
+    }
+
+    /// Stacked rows for 1 to 6 cores.
+    fn stacked_rows() -> impl Strategy<Value = Vec<[f64; PowerMode::COUNT]>> {
+        (
+            1usize..=6,
+            prop::collection::vec((cell(), cell(), cell()), 12),
+        )
+            .prop_map(|(cores, rows)| {
+                rows.into_iter()
+                    .take(2 * cores)
+                    .map(|(a, b, c)| [a, b, c])
+                    .collect()
+            })
+    }
+
+    /// The reference check: every cell of both matrices, scanned afresh.
+    fn scan(m: &PowerBipsMatrices) -> bool {
+        (0..m.cores()).all(|core| {
+            PowerMode::ALL.iter().all(|&mode| {
+                let id = CoreId::new(core);
+                let (p, b) = (m.power(id, mode).value(), m.bips(id, mode).value());
+                p.is_finite() && p >= 0.0 && b.is_finite() && b >= 0.0
+            })
+        })
+    }
+
+    /// A one-sample trace set whose every mode reports `power` watts at
+    /// `bips` BIPS.
+    fn flat_traces(power: f64, bips: f64) -> Arc<BenchmarkTraces> {
+        let traces = PowerMode::ALL
+            .map(|mode| {
+                let sample = TraceSample {
+                    instructions_end: 1_000_000,
+                    power_w: power,
+                    bips,
+                };
+                ModeTrace::new(mode, Micros::new(50.0), vec![sample])
+            })
+            .to_vec();
+        Arc::new(BenchmarkTraces::new("flat", 1_000_000, traces).expect("one trace per mode"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn stored_validity_matches_a_fresh_scan(rows in stacked_rows()) {
+            let cores = rows.len() / 2;
+            let (power, bips) = rows.split_at(cores);
+
+            let stacked = PowerBipsMatrices::from_stacked_rows(rows.clone());
+            prop_assert_eq!(stacked.cells_valid(), scan(&stacked));
+            let split = PowerBipsMatrices::from_rows(power.to_vec(), bips.to_vec());
+            let bits = |m: &PowerBipsMatrices| -> Vec<u64> {
+                let rows = m.power_rows().iter().chain(m.bips_rows());
+                rows.flatten().map(|cell| cell.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&split), bits(&stacked));
+            prop_assert_eq!(split.cells_valid(), scan(&split));
+
+            let observed: Vec<CoreObservation> = power
+                .iter()
+                .zip(bips)
+                .enumerate()
+                .map(|(core, (p, b))| CoreObservation {
+                    core: CoreId::new(core),
+                    mode: PowerMode::ALL[core % 3],
+                    power: Watts::new(p[0]),
+                    bips: Bips::new(b[1]),
+                    instructions: 0,
+                })
+                .collect();
+            let predicted = PowerBipsMatrices::predict(&observed);
+            prop_assert_eq!(predicted.cells_valid(), scan(&predicted));
+
+            let traces = power.iter().zip(bips).map(|(p, b)| flat_traces(p[2], b[0])).collect();
+            let sim = TraceCmpSim::new(traces, SimParams::default()).expect("sim builds");
+            let future = PowerBipsMatrices::from_future(&sim);
+            prop_assert_eq!(future.cells_valid(), scan(&future));
+        }
     }
 }

@@ -119,21 +119,14 @@ impl Policy for HierMaxBips {
             .map(|start| (start, (start + self.cluster_cores).min(n)))
             .collect();
         let solves: Vec<ModeCombination> = gpm_par::parallel_map(&clusters, |&(start, end)| {
-            let mut power = Vec::with_capacity(end - start);
-            let mut bips = Vec::with_capacity(end - start);
-            for core in start..end {
-                let id = CoreId::new(core);
-                let mut p_row = [0.0; PowerMode::COUNT];
-                let mut b_row = [0.0; PowerMode::COUNT];
-                for mode in PowerMode::ALL {
-                    p_row[mode.index()] = ctx.matrices.power(id, mode).value();
-                    b_row[mode.index()] = ctx.matrices.bips(id, mode).value();
-                }
-                power.push(p_row);
-                bips.push(b_row);
-            }
-            let sub = PowerBipsMatrices::from_rows(power, bips);
-            let current = ModeCombination::new(ctx.current_modes.as_slice()[start..end].to_vec());
+            let sub = PowerBipsMatrices::from_stacked_rows(
+                [
+                    &ctx.matrices.power_rows()[start..end],
+                    &ctx.matrices.bips_rows()[start..end],
+                ]
+                .concat(),
+            );
+            let current = ModeCombination::from_slice(&ctx.current_modes.as_slice()[start..end]);
             solver::solve(
                 &sub,
                 &current,

@@ -23,7 +23,12 @@
 //! Decoding is a single pass over the borrowed receive buffer — scalars
 //! are read in place and the owned [`NodeTelemetry`]/[`NodeDecision`]
 //! vectors are built directly from the wire bytes with no intermediate
-//! frame copy. Every malformed frame is an explicit
+//! frame copy. A `Telemetry` frame's power and BIPS rows are read with
+//! one bounds check into the matrices' single stacked vector, and mode
+//! bytes are checked, then stored in the [`ModeCombination`] — inline up
+//! to [`gpm_types::INLINE_MODES`] cores. So up to that width a
+//! `Telemetry` frame decodes with one allocation and a `Decision` frame
+//! with none. Every malformed frame is an explicit
 //! [`GpmError::Wire`]: truncated payloads, trailing garbage, length
 //! prefixes beyond [`MAX_FRAME_BYTES`], foreign version bytes, unknown
 //! kinds, out-of-range mode bytes and core counts beyond
@@ -168,27 +173,45 @@ impl<'a> Cursor<'a> {
         Ok(cores)
     }
 
+    /// Reads `cores` mode bytes: every byte is checked first, then the
+    /// modes are written straight into the combination (inline up to
+    /// [`gpm_types::INLINE_MODES`] cores, so no allocation there).
     fn modes(&mut self, cores: usize) -> Result<ModeCombination> {
         let bytes = self.take(cores)?;
-        let mut modes = Vec::with_capacity(cores);
-        for (i, &byte) in bytes.iter().enumerate() {
-            let mode = PowerMode::from_index(byte as usize).ok_or_else(|| {
-                wire_err(format!(
-                    "{} frame mode byte {byte} for core {i} is not a power mode",
-                    self.kind
-                ))
-            })?;
-            modes.push(mode);
+        if let Some(i) = bytes
+            .iter()
+            .position(|&byte| usize::from(byte) >= PowerMode::COUNT)
+        {
+            let byte = bytes[i];
+            return Err(wire_err(format!(
+                "{} frame mode byte {byte} for core {i} is not a power mode",
+                self.kind
+            )));
         }
-        Ok(ModeCombination::new(modes))
+        Ok(bytes
+            .iter()
+            .map(|&byte| PowerMode::ALL[usize::from(byte)])
+            .collect())
     }
 
-    fn rows(&mut self, cores: usize) -> Result<Vec<[f64; 3]>> {
-        let mut rows = Vec::with_capacity(cores);
-        for _ in 0..cores {
-            rows.push([self.f64()?, self.f64()?, self.f64()?]);
+    /// Reads `rows` little-endian `[f64; 3]` rows with one bounds check
+    /// into a single exact-size vector. A short body reports the same
+    /// truncation point as reading the cells one `f64` at a time would.
+    fn rows(&mut self, rows: usize) -> Result<Vec<[f64; 3]>> {
+        const ROW: usize = 3 * 8;
+        let whole_cells = (self.buf.len() - self.pos) / 8;
+        if whole_cells < 3 * rows {
+            // Skip the cells that are present; fewer than 8 bytes remain,
+            // so this take fails and names the first missing cell.
+            self.pos += whole_cells * 8;
+            self.take(8)?;
         }
-        Ok(rows)
+        let bytes = self.take(rows * ROW)?;
+        let cell = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte cell"));
+        Ok(bytes
+            .chunks_exact(ROW)
+            .map(|row| [cell(&row[..8]), cell(&row[8..16]), cell(&row[16..])])
+            .collect())
     }
 }
 
@@ -323,13 +346,13 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame> {
             let budget = Watts::new(c.f64()?);
             let cores = c.cores()?;
             let current = c.modes(cores)?;
-            let power = c.rows(cores)?;
-            let bips = c.rows(cores)?;
+            // Power rows then BIPS rows: the matrices' own stacked layout.
+            let rows = c.rows(2 * cores)?;
             c.finish()?;
             Ok(Frame::Telemetry(NodeTelemetry {
                 node,
                 tick,
-                matrices: PowerBipsMatrices::from_rows(power, bips),
+                matrices: PowerBipsMatrices::from_stacked_rows(rows),
                 current,
                 budget,
             }))
@@ -391,7 +414,9 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame> {
 
 /// Buffered frame reader over any byte stream. The payload buffer is
 /// reused across frames, so steady-state reads allocate only for the
-/// decoded frame's own vectors.
+/// decoded frame's own vectors: a `Telemetry` frame's one stacked row
+/// vector, plus a mode vector above [`gpm_types::INLINE_MODES`] cores;
+/// a `Decision` frame up to that width allocates nothing.
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,

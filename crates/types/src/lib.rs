@@ -38,7 +38,7 @@ mod units;
 
 pub use error::GpmError;
 pub use ids::CoreId;
-pub use mode::{Enumerate, ModeCombination, ModeOdometer, PowerMode};
+pub use mode::{Enumerate, ModeCombination, ModeOdometer, PowerMode, INLINE_MODES};
 pub use quant::{quantize_value, QuantizedKey, QuantizedKeyBuilder};
 pub use series::{Sample, TimeSeries};
 pub use stats::SummaryStats;

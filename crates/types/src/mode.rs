@@ -7,7 +7,9 @@
 //! levels.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
+use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
 
 /// A per-core DVFS power mode under the paper's linear-scaling scenario.
@@ -150,8 +152,23 @@ impl fmt::Display for PowerMode {
     }
 }
 
+/// How many modes a [`ModeCombination`] holds without a heap allocation.
+///
+/// 38 one-byte modes plus the length byte and the representation tag
+/// fill the 40 bytes a heap `Vec` arm needs anyway, and cover every chip
+/// up to the fleet's 32-way nodes.
+pub const INLINE_MODES: usize = 38;
+
 /// An assignment of one [`PowerMode`] per core — one point in the global
 /// manager's 3^N search space.
+///
+/// Up to [`INLINE_MODES`] modes are stored inline; only wider chips keep
+/// a heap `Vec`. So building, cloning or decoding a combination of at
+/// most that many cores allocates nothing, and `clone_from` between two
+/// wide combinations reuses the destination's allocation. Equality,
+/// hashing, `Debug`, `Display` and serde see only the mode slice: two
+/// equal slices compare and hash equal whatever their storage, and the
+/// JSON form is `{"modes":[...]}`.
 ///
 /// # Examples
 ///
@@ -167,51 +184,130 @@ impl fmt::Display for PowerMode {
 /// assert!(!c.is_uniform());
 /// assert_eq!(ModeCombination::enumerate(2).count(), 9);
 /// ```
-#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ModeCombination {
-    modes: Vec<PowerMode>,
+    repr: Repr,
 }
+
+/// The storage behind a [`ModeCombination`]: inline exactly when the
+/// length is at most [`INLINE_MODES`]. No operation changes a
+/// combination's length, so the rule holds for its whole life.
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        modes: [PowerMode; INLINE_MODES],
+    },
+    Heap(Vec<PowerMode>),
+}
+
+const _: () = assert!(std::mem::size_of::<ModeCombination>() <= 40);
 
 impl Clone for ModeCombination {
     fn clone(&self) -> Self {
         Self {
-            modes: self.modes.clone(),
+            repr: self.repr.clone(),
         }
     }
 
-    /// Reuses the destination's allocation — hot loops that re-record a
-    /// same-width combination every tick (e.g. the fleet engine's
-    /// last-good bookkeeping) stay allocation-free at steady state.
+    /// Reuses the destination's allocation when both sides are heap
+    /// combinations; an inline source is a plain copy.
     fn clone_from(&mut self, source: &Self) {
-        self.modes.clone_from(&source.modes);
+        match (&mut self.repr, &source.repr) {
+            (Repr::Heap(dst), Repr::Heap(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
+}
+
+impl PartialEq for ModeCombination {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ModeCombination {}
+
+impl Hash for ModeCombination {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for ModeCombination {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ModeCombination")
+            .field("modes", &self.as_slice())
+            .finish()
+    }
+}
+
+impl Serialize for ModeCombination {
+    fn to_value(&self) -> Value {
+        let modes = self.as_slice().iter().map(Serialize::to_value).collect();
+        Value::Object(vec![("modes".to_owned(), Value::Array(modes))])
+    }
+}
+
+impl Deserialize for ModeCombination {
+    fn from_value(value: &Value) -> Result<Self, JsonError> {
+        Ok(Self::new(Deserialize::from_value(value.field("modes")?)?))
     }
 }
 
 impl ModeCombination {
-    /// Creates a combination from explicit per-core modes.
+    /// Creates a combination from explicit per-core modes. A vector of at
+    /// most [`INLINE_MODES`] modes is copied inline and freed.
     #[must_use]
     pub fn new(modes: Vec<PowerMode>) -> Self {
-        Self { modes }
+        if modes.len() <= INLINE_MODES {
+            Self::from_slice(&modes)
+        } else {
+            Self {
+                repr: Repr::Heap(modes),
+            }
+        }
+    }
+
+    /// Creates a combination holding a copy of `modes`.
+    #[must_use]
+    pub fn from_slice(modes: &[PowerMode]) -> Self {
+        let repr = if modes.len() <= INLINE_MODES {
+            let mut inline = [PowerMode::Turbo; INLINE_MODES];
+            inline[..modes.len()].copy_from_slice(modes);
+            Repr::Inline {
+                len: modes.len() as u8,
+                modes: inline,
+            }
+        } else {
+            Repr::Heap(modes.to_vec())
+        };
+        Self { repr }
     }
 
     /// Creates a combination with every core in the same `mode`.
     #[must_use]
     pub fn uniform(cores: usize, mode: PowerMode) -> Self {
-        Self {
-            modes: vec![mode; cores],
-        }
+        let repr = if cores <= INLINE_MODES {
+            Repr::Inline {
+                len: cores as u8,
+                modes: [mode; INLINE_MODES],
+            }
+        } else {
+            Repr::Heap(vec![mode; cores])
+        };
+        Self { repr }
     }
 
     /// Number of cores covered by this combination.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.modes.len()
+        self.as_slice().len()
     }
 
     /// Returns `true` if the combination covers no cores.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.modes.is_empty()
+        self.len() == 0
     }
 
     /// Mode of core `core`.
@@ -221,7 +317,7 @@ impl ModeCombination {
     /// Panics if `core` is out of range.
     #[must_use]
     pub fn mode(&self, core: crate::CoreId) -> PowerMode {
-        self.modes[core.value()]
+        self.as_slice()[core.value()]
     }
 
     /// Sets the mode of core `core`.
@@ -230,18 +326,28 @@ impl ModeCombination {
     ///
     /// Panics if `core` is out of range.
     pub fn set(&mut self, core: crate::CoreId, mode: PowerMode) {
-        self.modes[core.value()] = mode;
+        self.as_mut_slice()[core.value()] = mode;
     }
 
     /// Per-core modes as a slice.
     #[must_use]
     pub fn as_slice(&self) -> &[PowerMode] {
-        &self.modes
+        match &self.repr {
+            Repr::Inline { len, modes } => &modes[..usize::from(*len)],
+            Repr::Heap(modes) => modes,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [PowerMode] {
+        match &mut self.repr {
+            Repr::Inline { len, modes } => &mut modes[..usize::from(*len)],
+            Repr::Heap(modes) => modes,
+        }
     }
 
     /// Iterates over `(CoreId, PowerMode)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (crate::CoreId, PowerMode)> + '_ {
-        self.modes
+        self.as_slice()
             .iter()
             .enumerate()
             .map(|(i, &m)| (crate::CoreId::new(i), m))
@@ -251,7 +357,7 @@ impl ModeCombination {
     /// special case).
     #[must_use]
     pub fn is_uniform(&self) -> bool {
-        self.modes.windows(2).all(|w| w[0] == w[1])
+        self.as_slice().windows(2).all(|w| w[0] == w[1])
     }
 
     /// Enumerates all `3^cores` combinations in lexicographic order
@@ -259,9 +365,9 @@ impl ModeCombination {
     ///
     /// This is the exhaustive search space of the MaxBIPS policy. The
     /// iterator is lazy, so callers can prune early. Each yielded item is
-    /// an owned allocation; exhaustive hot loops should drive a
-    /// [`ModeOdometer`] in place instead and clone only the combinations
-    /// they keep.
+    /// an owned combination (a heap allocation above [`INLINE_MODES`]
+    /// cores); exhaustive hot loops should drive a [`ModeOdometer`] in
+    /// place instead and clone only the combinations they keep.
     pub fn enumerate(cores: usize) -> Enumerate {
         let total = 3usize.checked_pow(cores as u32).expect("3^cores overflow");
         Enumerate {
@@ -280,20 +386,20 @@ impl ModeCombination {
     pub fn from_rank(cores: usize, rank: usize) -> Self {
         let total = 3usize.pow(cores as u32);
         assert!(rank < total, "rank {rank} out of range for {cores} cores");
-        let mut modes = vec![PowerMode::Turbo; cores];
+        let mut combo = Self::uniform(cores, PowerMode::Turbo);
         let mut r = rank;
-        for i in (0..cores).rev() {
-            modes[i] = PowerMode::from_index(r % 3).expect("index < 3");
+        for mode in combo.as_mut_slice().iter_mut().rev() {
+            *mode = PowerMode::from_index(r % 3).expect("index < 3");
             r /= 3;
         }
-        Self { modes }
+        combo
     }
 }
 
 impl fmt::Display for ModeCombination {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, m) in self.modes.iter().enumerate() {
+        for (i, m) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -304,9 +410,30 @@ impl fmt::Display for ModeCombination {
 }
 
 impl FromIterator<PowerMode> for ModeCombination {
+    /// Fills the inline array and spills to the heap only past
+    /// [`INLINE_MODES`] items.
     fn from_iter<T: IntoIterator<Item = PowerMode>>(iter: T) -> Self {
+        let mut iter = iter.into_iter();
+        let mut modes = [PowerMode::Turbo; INLINE_MODES];
+        let mut len = 0;
+        while let Some(mode) = iter.next() {
+            if len == INLINE_MODES {
+                let mut spilled = Vec::with_capacity(INLINE_MODES + 1 + iter.size_hint().0);
+                spilled.extend_from_slice(&modes);
+                spilled.push(mode);
+                spilled.extend(iter);
+                return Self {
+                    repr: Repr::Heap(spilled),
+                };
+            }
+            modes[len] = mode;
+            len += 1;
+        }
         Self {
-            modes: iter.into_iter().collect(),
+            repr: Repr::Inline {
+                len: len as u8,
+                modes,
+            },
         }
     }
 }
@@ -372,7 +499,7 @@ impl ModeOdometer {
     /// Returns `false` once the cursor wraps past the last combination
     /// (all-Eff2) back to all-Turbo, i.e. when the space is exhausted.
     pub fn advance(&mut self) -> bool {
-        for digit in self.combo.modes.iter_mut().rev() {
+        for digit in self.combo.as_mut_slice().iter_mut().rev() {
             match digit.slower() {
                 Some(next) => {
                     *digit = next;
@@ -561,5 +688,134 @@ mod tests {
         let c = ModeCombination::new(vec![]);
         assert!(c.is_empty());
         assert!(c.is_uniform());
+    }
+
+    /// The derived layout `ModeCombination` had as a plain `Vec` wrapper:
+    /// the reference for its `Debug`, `Hash` and serde forms.
+    mod derived {
+        use super::PowerMode;
+        use serde::{Deserialize, Serialize};
+
+        #[derive(Debug, Hash, Serialize, Deserialize)]
+        pub struct ModeCombination {
+            pub modes: Vec<PowerMode>,
+        }
+    }
+
+    fn is_inline(combo: &ModeCombination) -> bool {
+        matches!(combo.repr, Repr::Inline { .. })
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    const WIDTHS: [usize; 8] = [0, 1, 32, 33, INLINE_MODES, INLINE_MODES + 1, 64, 256];
+
+    fn pattern(width: usize, salt: usize) -> Vec<PowerMode> {
+        (0..width)
+            .map(|i| PowerMode::ALL[(i * 7 + salt) % 3])
+            .collect()
+    }
+
+    #[test]
+    fn representation_boundary_keeps_slice_semantics() {
+        for width in WIDTHS {
+            let modes = pattern(width, 1);
+            let collected: ModeCombination = modes.iter().copied().collect();
+            let built = [
+                ModeCombination::new(modes.clone()),
+                ModeCombination::from_slice(&modes),
+                collected.clone(),
+            ];
+            let old = derived::ModeCombination {
+                modes: modes.clone(),
+            };
+            for combo in &built {
+                assert_eq!(is_inline(combo), width <= INLINE_MODES, "width {width}");
+                assert_eq!(combo.as_slice(), &modes[..]);
+                assert_eq!(combo, &collected);
+                assert_eq!(hash_of(combo), hash_of(&old));
+                assert_eq!(format!("{combo:?}"), format!("{old:?}"));
+                let json = serde_json::to_string(combo).expect("combination serialises");
+                assert_eq!(json, serde_json::to_string(&old).expect("vec serialises"));
+                let back: ModeCombination = serde_json::from_str(&json).expect("json parses");
+                assert_eq!(&back, combo);
+                assert_eq!(is_inline(&back), width <= INLINE_MODES);
+            }
+            assert_ne!(
+                hash_of(&collected),
+                hash_of(&ModeCombination::new(pattern(width + 1, 1)))
+            );
+        }
+        let two = ModeCombination::new(vec![PowerMode::Turbo, PowerMode::Eff1]);
+        assert_eq!(
+            serde_json::to_string(&two).expect("combination serialises"),
+            r#"{"modes":["Turbo","Eff1"]}"#
+        );
+    }
+
+    #[test]
+    fn set_and_mode_match_a_vec_model_at_every_width() {
+        for width in WIDTHS {
+            let mut model = pattern(width, 2);
+            let mut combo = ModeCombination::new(model.clone());
+            for core in (0..width).step_by(5) {
+                let mode = model[core].slower().unwrap_or(PowerMode::Turbo);
+                model[core] = mode;
+                combo.set(CoreId::new(core), mode);
+            }
+            assert_eq!(combo.as_slice(), &model[..]);
+            for (core, &mode) in model.iter().enumerate() {
+                assert_eq!(combo.mode(CoreId::new(core)), mode);
+            }
+            assert_eq!(combo.len(), width);
+            assert_eq!(combo.is_empty(), width == 0);
+        }
+    }
+
+    #[test]
+    fn clone_from_crosses_the_inline_heap_boundary_both_ways() {
+        for from in WIDTHS {
+            for to in WIDTHS {
+                let source = ModeCombination::new(pattern(from, 0));
+                let mut dest = ModeCombination::new(pattern(to, 1));
+                dest.clone_from(&source);
+                assert_eq!(dest, source);
+                assert_eq!(is_inline(&dest), from <= INLINE_MODES, "{to} <- {from}");
+                let copy = source.clone();
+                assert_eq!(copy, source);
+                assert_eq!(is_inline(&copy), is_inline(&source));
+            }
+        }
+    }
+
+    #[test]
+    fn odometer_advances_at_every_width() {
+        for width in WIDTHS {
+            let mut odo = ModeOdometer::new(width);
+            // A base-3 counter over a plain vector, least significant
+            // digit last.
+            let mut model = vec![PowerMode::Turbo; width];
+            for _ in 0..100 {
+                let advanced = odo.advance();
+                let mut carry = true;
+                for digit in model.iter_mut().rev() {
+                    match digit.slower() {
+                        Some(next) => {
+                            *digit = next;
+                            carry = false;
+                            break;
+                        }
+                        None => *digit = PowerMode::Turbo,
+                    }
+                }
+                assert_eq!(advanced, !carry);
+                assert_eq!(odo.current().as_slice(), &model[..]);
+                assert_eq!(is_inline(odo.current()), width <= INLINE_MODES);
+            }
+        }
     }
 }

@@ -93,11 +93,14 @@ cargo clippy -p gpm-cli --all-targets -- -D warnings
 # streams bit-identical across shard counts, pool widths and transports,
 # corrupt frames rejected with named errors instead of panics, and
 # checkpoint/restore continuing bit-identically through the sharded
-# front. Run the equivalence group under a serial and a saturated pool
-# and lint the wire crate at zero-warning strictness.
-echo "==> fleet service: serve_equivalence under two pool widths + clippy -D warnings"
-GPM_THREADS=1 cargo test --quiet --test serve_equivalence
-GPM_THREADS=8 cargo test --quiet --test serve_equivalence
+# front. It also promises an allocation budget: a decoded report is one
+# heap block, a decision none, and a warm tick allocates per distinct
+# problem, not per report (alloc_budget, a counting global allocator).
+# Run both groups under a serial and a saturated pool and lint the wire
+# crate at zero-warning strictness.
+echo "==> fleet service: serve_equivalence + alloc_budget under two pool widths + clippy -D warnings"
+GPM_THREADS=1 cargo test --quiet --test serve_equivalence --test alloc_budget
+GPM_THREADS=8 cargo test --quiet --test serve_equivalence --test alloc_budget
 cargo clippy -p gpm-net --all-targets -- -D warnings
 
 # Loopback serve smoke: `gpm serve` + `gpm loadgen` must keep running end

@@ -33,10 +33,11 @@ use gpm::core::{
     SubmitOutcome,
 };
 use gpm::net::wire::{
-    self, decode_frame, encode_frame, Frame, FrameReader, MAX_FRAME_BYTES, WIRE_VERSION,
+    self, decode_frame, encode_frame, Frame, FrameReader, MAX_FRAME_BYTES, MAX_WIRE_CORES,
+    WIRE_VERSION,
 };
 use gpm::net::{connect, Endpoint, ServeOptions, Server, ShardedEngine};
-use gpm::types::{GpmError, ModeCombination, PowerMode, Watts};
+use gpm::types::{GpmError, ModeCombination, PowerMode, Watts, INLINE_MODES};
 use proptest::prelude::*;
 
 /// `gpm::par::set_max_threads` is a process-global override; tests that
@@ -183,14 +184,35 @@ fn sharded_checkpoint_restore_continues_bit_identically() {
 /// Drives the full wire protocol against a server endpoint and returns
 /// every decision streamed back.
 fn drive_transport(endpoint: &Endpoint, shards: usize) -> Vec<NodeDecision> {
+    let tables = PhaseTables::build();
+    let load: Vec<Vec<NodeTelemetry>> = (0..TICKS)
+        .map(|tick| {
+            (0..NODES as u64)
+                .map(|node| tables.telemetry(node, tick))
+                .collect()
+        })
+        .collect();
+    let config = FleetConfig {
+        queue_capacity: NODES,
+        ..FleetConfig::default()
+    };
+    drive_load(endpoint, shards, config, &load)
+}
+
+/// Serves `load` (one batch of reports per tick, tick = batch index)
+/// through a server at `endpoint` and returns every decision streamed
+/// back.
+fn drive_load(
+    endpoint: &Endpoint,
+    shards: usize,
+    config: FleetConfig,
+    load: &[Vec<NodeTelemetry>],
+) -> Vec<NodeDecision> {
     let server = Server::bind(
         endpoint,
         ServeOptions {
             shards,
-            config: FleetConfig {
-                queue_capacity: NODES,
-                ..FleetConfig::default()
-            },
+            config,
             once: true,
         },
     )
@@ -198,16 +220,15 @@ fn drive_transport(endpoint: &Endpoint, shards: usize) -> Vec<NodeDecision> {
     let bound = server.local_endpoint();
     let handle = std::thread::spawn(move || server.run().expect("server runs"));
 
-    let tables = PhaseTables::build();
     let stream = connect(&bound).expect("client connects");
     let mut writer = BufWriter::new(stream.try_clone().expect("stream clones"));
     let mut reader = FrameReader::new(BufReader::new(stream));
     let mut out = Vec::new();
     let mut decisions = Vec::new();
-    for tick in 0..TICKS {
+    for (tick, reports) in (0u64..).zip(load) {
         out.clear();
-        for node in 0..NODES as u64 {
-            wire::encode_telemetry(&tables.telemetry(node, tick), &mut out);
+        for report in reports {
+            wire::encode_telemetry(report, &mut out);
         }
         wire::encode_tick_end(tick, &mut out);
         wire::write_all(&mut writer, &out).expect("tick writes");
@@ -235,6 +256,67 @@ fn tcp_and_unix_transports_yield_identical_streams() {
     let over_unix = drive_transport(&Endpoint::Unix(socket), 2);
     assert_eq!(over_tcp, over_unix);
     assert_eq!(over_tcp.len(), NODES * TICKS as usize);
+}
+
+/// A `cores`-wide report with per-core distinct cells, mixed current
+/// modes and a budget at `share` of the all-Turbo power.
+fn wide_report(node: u64, tick: u64, cores: usize, share: f64) -> NodeTelemetry {
+    let salt = (node * 31 + tick * 7) as usize;
+    let power: Vec<[f64; 3]> = (0..cores)
+        .map(|i| {
+            let t = 9.0 + ((i * 13 + salt) % 17) as f64 * 0.7;
+            [t, t * 0.86, t * 0.61]
+        })
+        .collect();
+    let bips = (0..cores)
+        .map(|i| {
+            let t = 0.3 + ((i * 5 + salt) % 11) as f64 * 0.21;
+            [t, t * (0.9 + (i % 3) as f64 * 0.03), t * 0.8]
+        })
+        .collect();
+    let budget = Watts::new(share * power.iter().map(|row| row[0]).sum::<f64>());
+    NodeTelemetry {
+        node,
+        tick,
+        matrices: gpm::core::PowerBipsMatrices::from_rows(power, bips),
+        current: (0..cores).map(|i| PowerMode::ALL[(i + salt) % 3]).collect(),
+        budget,
+    }
+}
+
+#[test]
+fn wide_nodes_over_loopback_match_the_engine() {
+    // 64 cores: above the inline mode width (the heap path) and above
+    // the flat solver's limit (the hierarchical solver).
+    const CORES: usize = 64;
+    let config = FleetConfig {
+        queue_capacity: 16,
+        ..FleetConfig::default()
+    };
+    assert!(CORES > INLINE_MODES && CORES > config.flat_core_limit);
+    let load: Vec<Vec<NodeTelemetry>> = (0..4u64)
+        .map(|tick| {
+            (0..6u64)
+                .map(|node| wide_report(node % 3, tick, CORES, 0.6 + 0.05 * node as f64))
+                .collect()
+        })
+        .collect();
+    let mut engine = FleetEngine::new(config.clone()).expect("engine config is valid");
+    let mut direct = Vec::new();
+    for (tick, reports) in (0u64..).zip(&load) {
+        for report in reports {
+            assert!(engine.submit(report.clone()));
+        }
+        direct.extend(engine.run_tick(tick));
+    }
+    let served = drive_load(&Endpoint::Tcp("127.0.0.1:0".into()), 1, config, &load);
+    assert_eq!(served, direct);
+    assert_eq!(served.len(), 24);
+    assert!(served.iter().all(|d| d.modes.len() == CORES && !d.degraded));
+    // The budgets bind: not every core stays at Turbo.
+    assert!(served
+        .iter()
+        .any(|d| d.modes.as_slice().contains(&PowerMode::Eff2)));
 }
 
 /// Capacity of every shard queue in the accounting tests: small enough
@@ -521,6 +603,55 @@ proptest! {
             decode_frame(&payload[..cut_at]),
             Err(GpmError::Wire(_))
         ));
+    }
+}
+
+#[test]
+fn frames_roundtrip_across_the_inline_width() {
+    for cores in [
+        1,
+        32,
+        33,
+        INLINE_MODES,
+        INLINE_MODES + 1,
+        256,
+        MAX_WIRE_CORES,
+    ] {
+        let telemetry = wide_report(cores as u64, 5, cores, 0.7);
+        let modes = telemetry.current.clone();
+        let frame = Frame::Telemetry(telemetry);
+        assert_eq!(roundtrip(&frame), frame, "{cores}-core telemetry");
+        let frame = Frame::Decision(NodeDecision {
+            node: 3,
+            tick: 5,
+            modes,
+            degraded: cores % 2 == 1,
+        });
+        assert_eq!(roundtrip(&frame), frame, "{cores}-core decision");
+    }
+}
+
+#[test]
+fn truncated_rows_name_the_first_missing_cell() {
+    let tables = PhaseTables::build();
+    let telemetry = tables.telemetry(0, 0);
+    let cores = telemetry.matrices.cores();
+    let mut bytes = Vec::new();
+    wire::encode_telemetry(&telemetry, &mut bytes);
+    let payload = &bytes[4..];
+    // Body offset of the first power cell: node, tick, budget, cores,
+    // then one byte per mode.
+    let rows_at = 8 + 8 + 8 + 4 + cores;
+    for body_len in rows_at..payload.len() - 2 {
+        let missing = rows_at + (body_len - rows_at) / 8 * 8;
+        let expected = format!(
+            "truncated telemetry frame: body ends at byte {body_len} of {}",
+            missing + 8
+        );
+        match decode_frame(&payload[..2 + body_len]) {
+            Err(GpmError::Wire(msg)) => assert_eq!(msg, expected),
+            other => panic!("expected `{expected}`, got {other:?}"),
+        }
     }
 }
 
