@@ -27,9 +27,7 @@ use gpm_core::{FleetConfig, FleetEngine};
 use gpm_microarch::{CoreConfig, CoreModel};
 use gpm_net::{Endpoint, LoadgenOptions, ServeOptions, Server, ShardedEngine};
 use gpm_power::{DvfsParams, PowerModel};
-use gpm_trace::{
-    capture_benchmark, BenchmarkTraces, CaptureConfig, CaptureEngine, ModeTrace, TraceSample,
-};
+use gpm_trace::{capture_benchmark, BenchmarkTraces, CaptureConfig, ModeTrace, TraceSample};
 use gpm_types::{Hertz, Micros, ModeCombination, PowerMode, Watts};
 use gpm_workloads::{combos, SpecBenchmark, WorkloadCombo};
 
@@ -82,26 +80,7 @@ fn core_stream_mips(bench: SpecBenchmark, min_instructions: u64) -> Measurement 
 /// regime; the first capture in a process pays roughly one extra page
 /// fault per 4 KiB of tape.
 fn capture_mips(bench: SpecBenchmark, limit: u64) -> Measurement {
-    let name = match bench {
-        SpecBenchmark::Sixtrack => "capture_cpu_bound_sixtrack",
-        SpecBenchmark::Mcf => "capture_mem_bound_mcf",
-        _ => "capture_other",
-    };
-    capture_engine_mips(name, bench, limit, CaptureEngine::default())
-}
-
-/// `capture_mips` with an explicit stepping engine. The scalar-engine rows
-/// give the lane-batching speedup an in-process denominator: both engines
-/// run in the same binary and process, so the ratio is immune to
-/// cross-binary and cross-invocation noise.
-fn capture_engine_mips(
-    name: &'static str,
-    bench: SpecBenchmark,
-    limit: u64,
-    engine: CaptureEngine,
-) -> Measurement {
-    let mut config = CaptureConfig::fast(limit);
-    config.engine = engine;
+    let config = CaptureConfig::fast(limit);
     let _ = capture_benchmark(bench, &config).expect("warm capture");
     let start = Instant::now();
     let traces = capture_benchmark(bench, &config).expect("capture");
@@ -111,7 +90,11 @@ fn capture_engine_mips(
         .map(|&m| traces.trace(m).total_instructions())
         .sum();
     Measurement {
-        name,
+        name: match bench {
+            SpecBenchmark::Sixtrack => "capture_cpu_bound_sixtrack",
+            SpecBenchmark::Mcf => "capture_mem_bound_mcf",
+            _ => "capture_other",
+        },
         instructions,
         seconds,
     }
@@ -532,18 +515,6 @@ fn main() {
         core_stream_mips(SpecBenchmark::Mcf, core_target),
         capture_mips(SpecBenchmark::Sixtrack, capture_limit),
         capture_mips(SpecBenchmark::Mcf, capture_limit),
-        capture_engine_mips(
-            "capture_scalar_sixtrack",
-            SpecBenchmark::Sixtrack,
-            capture_limit,
-            CaptureEngine::Scalar,
-        ),
-        capture_engine_mips(
-            "capture_scalar_mcf",
-            SpecBenchmark::Mcf,
-            capture_limit,
-            CaptureEngine::Scalar,
-        ),
         cmp_full_mips("cmp_full_2way_gcc_mesa", &combos::gcc_mesa(), 4.0 * cmp_us),
         cmp_full_mips(
             "cmp_full_4way_ammp_mcf_crafty_art",
@@ -609,17 +580,6 @@ fn main() {
         println!("{:<28} {:>9.2} us/decide", d.name, d.micros_per_decide);
         let _ = writeln!(json, "  \"{}_us\": {:.2},", d.name, d.micros_per_decide);
     }
-    // In-process lane-batching speedup: default (lane-batched) capture vs
-    // the scalar reference engine on the same streams in the same process.
-    for (batched, scalar) in [
-        ("capture_cpu_bound_sixtrack", "capture_scalar_sixtrack"),
-        ("capture_mem_bound_mcf", "capture_scalar_mcf"),
-    ] {
-        let ratio = by_name(batched).mips() / by_name(scalar).mips();
-        println!("lane-batched capture speedup over scalar ({batched}): {ratio:.2}x");
-        let _ = writeln!(json, "  \"{batched}_engine_speedup\": {ratio:.2},");
-    }
-
     let cached = decides
         .iter()
         .find(|d| d.name == "policy_decide_8way_cached")

@@ -1,8 +1,9 @@
-//! The full-CMP validation simulator: real core models sharing an L2.
+//! The full-CMP validation simulator: real core models, each a
+//! `CoreModel<DeferredL2>` recording its L2 requests, sharing an L2.
 
 use std::sync::Arc;
 
-use gpm_microarch::{CoreConfig, DeferredL2, IntervalStats, LaneBatch};
+use gpm_microarch::{CoreConfig, CoreModel, DeferredL2, IntervalStats};
 use gpm_power::{DvfsParams, PowerModel};
 use gpm_types::{Bips, GpmError, Hertz, Micros, ModeCombination, PowerMode, Result, Watts};
 use gpm_workloads::{WorkloadCombo, WorkloadStream};
@@ -59,16 +60,16 @@ impl FullCmpOutcome {
     }
 }
 
-/// Per-core bookkeeping that lives *outside* the lane batch: identity,
+/// Per-core bookkeeping that lives *outside* the core model: identity,
 /// clocking, the correction-credit carry of the two-phase protocol, and the
-/// run accumulators. One `LaneAccounting` per core, in core order within
+/// run accumulators. One `CoreAccounting` per core, in core order within
 /// its [`Cluster`].
 #[derive(Debug)]
-struct LaneAccounting {
+struct CoreAccounting {
     benchmark: Arc<str>,
     mode: PowerMode,
     freq: Hertz,
-    /// Core cycles per synchronisation quantum at this lane's frequency;
+    /// Core cycles per synchronisation quantum at this core's frequency;
     /// recomputed when a run starts (the quantum is configurable).
     cycles_per_quantum: u64,
     /// Signed correction credit in nanoseconds: positive when the replay
@@ -79,7 +80,7 @@ struct LaneAccounting {
     /// hit + memory + worst-case queueing delay).
     charge_min_ns: f64,
     charge_max_ns: f64,
-    /// Replay scratch: total actual latency of this lane's requests this
+    /// Replay scratch: total actual latency of this core's requests this
     /// quantum.
     actual_ns: f64,
     /// Replay scratch: merge cursor into the sorted request log.
@@ -89,7 +90,7 @@ struct LaneAccounting {
     energy_j: f64,
 }
 
-impl LaneAccounting {
+impl CoreAccounting {
     /// Settles this quantum's replay against what phase 1 charged: the
     /// signed difference joins the correction credit, and the charge
     /// predictor moves to the quantum's observed mean latency so the next
@@ -123,21 +124,17 @@ impl LaneAccounting {
     }
 }
 
-/// One cluster of cores: a [`LaneBatch`] over the cluster's cores plus
-/// the cluster's private L2. Both phases of the two-phase protocol run on
-/// the cluster's pool worker — the interconnect is read-only during a
-/// quantum (its penalty is frozen in `icn_penalty_ns` at each window
-/// boundary), so nothing a cluster touches is shared.
+/// One cluster of cores: each core recording its L2 requests into its own
+/// [`DeferredL2`], plus the cluster's private L2. Both phases of the
+/// two-phase protocol run on the cluster's pool worker — the interconnect
+/// is read-only during a quantum (its penalty is frozen in
+/// `icn_penalty_ns` at each window boundary), so nothing a cluster touches
+/// is shared.
 #[derive(Debug)]
 struct Cluster {
-    batch: LaneBatch,
+    cores: Vec<CoreModel<DeferredL2>>,
     streams: Vec<WorkloadStream>,
-    deferred: Vec<DeferredL2>,
-    acct: Vec<LaneAccounting>,
-    /// Kernel scratch, one slot per lane (cycle targets and captured
-    /// per-quantum stats), retained across quanta to avoid reallocation.
-    targets: Vec<u64>,
-    seg: Vec<IntervalStats>,
+    acct: Vec<CoreAccounting>,
     l2: SharedL2,
     /// Per-miss interconnect penalty for the current window, broadcast
     /// after the interconnect window closes.
@@ -152,19 +149,19 @@ impl Cluster {
         core_config: &CoreConfig,
         shared_config: SharedL2Config,
         streams: Vec<WorkloadStream>,
-        acct: Vec<LaneAccounting>,
+        acct: Vec<CoreAccounting>,
     ) -> Result<Self> {
-        let freqs: Vec<Hertz> = acct.iter().map(|a| a.freq).collect();
-        let lanes = acct.len();
+        let cores = acct
+            .iter()
+            .map(|a| {
+                let deferred = DeferredL2::new(shared_config.l2_latency_ns);
+                CoreModel::with_memory(core_config, a.freq, deferred)
+            })
+            .collect::<Result<_>>()?;
         Ok(Self {
-            batch: LaneBatch::new(core_config, &freqs)?,
+            cores,
             streams,
-            deferred: (0..lanes)
-                .map(|_| DeferredL2::new(shared_config.l2_latency_ns))
-                .collect(),
             acct,
-            targets: vec![0; lanes],
-            seg: vec![IntervalStats::default(); lanes],
             l2: SharedL2::new(shared_config)?,
             icn_penalty_ns: 0.0,
             quantum_misses: 0,
@@ -174,27 +171,18 @@ impl Cluster {
     /// Steps the cluster one quantum: phase 1, phase 2, then the L2
     /// window close.
     fn run_quantum(&mut self, power: &PowerModel, window_ns: f64) {
-        self.step_lanes(power);
+        self.step_cores(power);
         self.replay();
         self.l2.end_window(window_ns);
     }
 
-    /// Phase 1: step every lane one quantum. Per lane: repay any positive
-    /// correction credit as stall cycles, then run the remainder of the
-    /// quantum against the recording L2 — all lanes through one
-    /// `step_lanes` call — and finally sort the request logs so phase 2
-    /// can k-way merge.
-    fn step_lanes(&mut self, power: &PowerModel) {
-        let Self {
-            batch,
-            streams,
-            deferred,
-            acct,
-            targets,
-            seg,
-            ..
-        } = self;
-        for (lane, acct) in acct.iter_mut().enumerate() {
+    /// Phase 1: step every core one quantum. Per core: repay any positive
+    /// correction credit as stall cycles, run the remainder of the quantum
+    /// against the recording L2, and sort the request log so phase 2 can
+    /// k-way merge.
+    fn step_cores(&mut self, power: &PowerModel) {
+        let cores = self.cores.iter_mut().zip(&mut self.streams);
+        for ((core, stream), acct) in cores.zip(&mut self.acct) {
             let quantum_cycles = acct.cycles_per_quantum;
             let stall = if acct.pending_ns > 0.0 {
                 acct.freq.cycles_for_ns(acct.pending_ns).min(quantum_cycles)
@@ -203,47 +191,38 @@ impl Cluster {
             };
             if stall > 0 {
                 acct.pending_ns -= stall as f64 * 1.0e9 / acct.freq.value();
-                batch.apply_stall_cycles(lane, stall);
+                core.apply_stall_cycles(stall);
             }
-            deferred[lane].reset();
+            core.memory_mut().reset();
             acct.actual_ns = 0.0;
             acct.cursor = 0;
-            targets[lane] = quantum_cycles - stall;
-            seg[lane] = IntervalStats::default();
-        }
 
-        batch.step_lanes(streams, deferred, targets, |lane, stats| {
-            seg[lane] = *stats;
-            None
-        });
-
-        for (lane, acct) in acct.iter_mut().enumerate() {
-            let mut stats = seg[lane];
-            stats.cycles += acct.cycles_per_quantum - targets[lane];
+            let mut stats = core.run_cycles(stream, quantum_cycles - stall);
+            stats.cycles += stall;
             let power = power.power(&stats.activity(), acct.mode);
             let secs = stats.cycles as f64 / acct.freq.value();
             acct.energy_j += power.value() * secs;
             acct.total.merge(&stats);
-            deferred[lane].sort_log();
+            core.memory_mut().sort_log();
         }
     }
 
-    /// Phase 2: merge-replay the lanes' sorted request logs against the
+    /// Phase 2: merge-replay the cores' sorted request logs against the
     /// cluster's L2 in `(timestamp, core-id)` order, counting the misses
     /// into `quantum_misses`.
     ///
     /// The deterministic tie-break — strictly-smaller timestamp wins, equal
     /// timestamps go to the lower core id — makes the replay order (and
     /// hence the tag-array state, queue accounting and per-core
-    /// corrections) independent of how phase 1 was scheduled. Each lane
+    /// corrections) independent of how phase 1 was scheduled. Each core
     /// accumulates the actual latency of its requests (queueing delay, and
     /// memory latency when the array misses, plus the frozen interconnect
     /// penalty — `0.0`, exact by IEEE 754 identity, for a free
-    /// interconnect); [`LaneAccounting::bank_correction`] settles that
+    /// interconnect); [`CoreAccounting::bank_correction`] settles that
     /// against what phase 1 charged.
     fn replay(&mut self) {
         let Self {
-            deferred,
+            cores,
             acct,
             l2,
             icn_penalty_ns,
@@ -253,16 +232,16 @@ impl Cluster {
         *quantum_misses = 0;
         loop {
             let mut best: Option<(usize, f64)> = None;
-            for (lane, (log, acct)) in deferred.iter().zip(acct.iter()).enumerate() {
-                if let Some(req) = log.log().get(acct.cursor) {
+            for (i, (core, acct)) in cores.iter().zip(acct.iter()).enumerate() {
+                if let Some(req) = core.memory().log().get(acct.cursor) {
                     if best.is_none_or(|(_, t)| req.now_ns < t) {
-                        best = Some((lane, req.now_ns));
+                        best = Some((i, req.now_ns));
                     }
                 }
             }
-            let Some((lane, _)) = best else { break };
-            let acct = &mut acct[lane];
-            let req = deferred[lane].log()[acct.cursor];
+            let Some((i, _)) = best else { break };
+            let acct = &mut acct[i];
+            let req = cores[i].memory().log()[acct.cursor];
             acct.cursor += 1;
             let (mut actual_ns, hit) = l2.replay_access(req.addr);
             if !hit {
@@ -272,8 +251,8 @@ impl Cluster {
             }
             acct.actual_ns += actual_ns;
         }
-        for (acct, deferred) in acct.iter_mut().zip(deferred.iter_mut()) {
-            acct.bank_correction(deferred);
+        for (acct, core) in acct.iter_mut().zip(cores.iter_mut()) {
+            acct.bank_correction(core.memory_mut());
         }
     }
 }
@@ -287,11 +266,10 @@ impl Cluster {
 ///
 /// Cores advance in short wall-clock quanta (5 µs by default) under a
 /// two-phase protocol, and each cluster maps onto one `gpm_par` pool
-/// worker that runs both phases for it. **Phase 1** steps all of the
-/// cluster's cores through a single [`LaneBatch::step_lanes`] kernel
-/// call, which interleaves the lanes' independent dependency chains. L1
-/// hits resolve locally, and every would-be L2 request is recorded into
-/// the core's [`DeferredL2`] log at the lane's *predicted* per-access
+/// worker that runs both phases for it. **Phase 1** steps each of the
+/// cluster's cores in turn, a [`CoreModel`] whose memory is a
+/// [`DeferredL2`]. L1 hits resolve locally, and every would-be L2 request
+/// is recorded into the core's log at the core's *predicted* per-access
 /// latency — the array-hit latency initially, then the previous quantum's
 /// observed mean, so dependent-load serialisation and ROB latency overlap
 /// play out in the recording timeline itself. **Phase 2** merge-replays
@@ -304,16 +282,15 @@ impl Cluster {
 /// offset against future debt when negative). After each round the only
 /// serialised work is summing the clusters' miss counts into the
 /// interconnect and closing its window. Per-core DVFS is supported by
-/// clocking each lane at its mode's frequency — the quantum is measured
+/// clocking each core at its mode's frequency — the quantum is measured
 /// in wall time, so cores stay aligned across clock domains.
 ///
 /// Results are bit-identical for every `GPM_THREADS` value (including the
 /// pool-free serial path): clusters share no mutable state during a
-/// round, the lane kernel steps each lane through the exact scalar
-/// scoreboard logic, the replay order is fully determined by the logs,
-/// and the interconnect merge sums unsigned counters. The golden hashes
-/// in `tests/cmp_equivalence.rs` and `tests/hier_equivalence.rs` pin
-/// this.
+/// round, no data flows between a cluster's cores during phase 1, the
+/// replay order is fully determined by the logs, and the interconnect
+/// merge sums unsigned counters. The golden hashes in
+/// `tests/cmp_equivalence.rs` and `tests/hier_equivalence.rs` pin this.
 ///
 /// This is the validation counterpart of
 /// [`TraceCmpSim`](crate::TraceCmpSim), mirroring the paper's full-CMP
@@ -399,7 +376,7 @@ impl FullCmpSim {
             + (interconnect.hop_latency_ns + md1_cap_wait(interconnect.service_ns));
         let interconnect = Interconnect::new(interconnect)?;
 
-        let lane = |i: usize| -> Result<(WorkloadStream, LaneAccounting)> {
+        let core = |i: usize| -> Result<(WorkloadStream, CoreAccounting)> {
             let bench = combo.benchmarks()[i];
             let mode = modes.mode(gpm_types::CoreId::new(i));
             // Distinct address bases and seed salts: four mcf instances
@@ -407,7 +384,7 @@ impl FullCmpSim {
             let stream = bench
                 .profile()
                 .stream_with(i as u64 * CORE_ADDR_STRIDE, i as u64)?;
-            let acct = LaneAccounting {
+            let acct = CoreAccounting {
                 benchmark: Arc::from(bench.name()),
                 mode,
                 freq: dvfs.frequency(mode),
@@ -426,7 +403,7 @@ impl FullCmpSim {
             .map(|k| {
                 let (streams, acct) = topology
                     .core_range(k)
-                    .map(lane)
+                    .map(core)
                     .collect::<Result<Vec<_>>>()?
                     .into_iter()
                     .unzip();
@@ -510,7 +487,7 @@ impl FullCmpSim {
         FullCmpOutcome {
             per_core: clusters
                 .iter()
-                .flat_map(|c| c.acct.iter().map(LaneAccounting::outcome))
+                .flat_map(|c| c.acct.iter().map(CoreAccounting::outcome))
                 .collect(),
             duration,
             l2_utilization: clusters

@@ -4,12 +4,13 @@
 //!
 //! # Hot-path structure
 //!
-//! A core's complete stepping state is one [`Engine`]: [`CoreModel`] is an
-//! engine plus a [`PrivateMemory`], and a [`LaneBatch`](crate::LaneBatch)
-//! holds N engines. Every experiment in the workspace funnels through
-//! [`Engine::run_burst`]'s per-instruction loop, so this module is written
-//! for raw simulation throughput while keeping results bit-identical across
-//! delivery and dispatch strategies:
+//! [`CoreModel`] is the only way to step a core: an engine (caches,
+//! predictor, prefetcher, scoreboard, op delivery buffer) plus the memory
+//! subsystem below its L1s — a [`PrivateMemory`] for trace capture, a
+//! recording [`DeferredL2`](crate::DeferredL2) for each full-CMP core.
+//! Every experiment in the workspace funnels through its per-instruction
+//! loop, so this module is written for raw simulation throughput while
+//! keeping results bit-identical across delivery strategies:
 //!
 //! * **Batched instruction delivery** — ops are pulled from the
 //!   [`InstructionSource`] in blocks (via
@@ -19,8 +20,8 @@
 //!   ([`borrow_ops`](InstructionSource::borrow_ops)) and is stepped without a
 //!   copy. Unconsumed buffered ops carry over between `run_*` calls; callers
 //!   that swap sources mid-run must call [`CoreModel::discard_pending_ops`].
-//! * **Monomorphized memory path** — `run_burst` is generic over
-//!   `M: MemorySubsystem + ?Sized`, so the private-L2 common case
+//! * **Monomorphized memory path** — [`CoreModel`] is generic over its
+//!   `M: MemorySubsystem`, so the private-L2 common case
 //!   ([`PrivateMemory`]) and the full-CMP recording L2
 //!   ([`DeferredL2`](crate::DeferredL2)) inline completely.
 //! * **No per-op division or float math** — the ROB ring is walked with a
@@ -77,16 +78,6 @@ pub enum AccessKind {
     Prefetch,
 }
 
-impl<T: MemorySubsystem + ?Sized> MemorySubsystem for &mut T {
-    fn access(&mut self, addr: u64, now_ns: f64) -> (f64, bool) {
-        (**self).access(addr, now_ns)
-    }
-
-    fn access_kind(&mut self, addr: u64, now_ns: f64, kind: AccessKind) -> (f64, bool) {
-        (**self).access_kind(addr, now_ns, kind)
-    }
-}
-
 /// A private L2 backed by fixed-latency DRAM — the memory system of the
 /// paper's single-threaded Turandot runs.
 #[derive(Debug, Clone)]
@@ -134,12 +125,10 @@ enum FuClass {
 /// prefetcher, scoreboard, ns→cycles memo and op delivery buffer — every
 /// piece of state stepping reads or writes except the memory below the L1s.
 ///
-/// This is the only definition of a core. [`CoreModel`] owns one next to a
-/// [`PrivateMemory`]; [`LaneBatch`](crate::LaneBatch) owns one per lane.
-/// Keeping the memory subsystem outside lets stepping borrow the engine and
-/// any [`MemorySubsystem`] at the same time.
+/// [`CoreModel`] owns one next to its memory subsystem; keeping the memory
+/// outside lets stepping borrow the engine and the memory at the same time.
 #[derive(Debug, Clone)]
-pub(crate) struct Engine {
+struct Engine {
     // Static configuration (latencies in core cycles).
     dispatch_width: u32,
     rob_size: usize,
@@ -189,17 +178,6 @@ pub(crate) struct Engine {
     op_buf_len: usize,
 }
 
-/// One stepping interval in progress on an [`Engine`]: the statistics
-/// gathered so far, the cycle it ends at, and the counters it is measured
-/// from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Segment {
-    pub(crate) stats: IntervalStats,
-    pub(crate) end_cycle: u64,
-    start_cycle: u64,
-    busy_start: u64,
-}
-
 impl Engine {
     /// Builds a cold core at clock frequency `freq`.
     ///
@@ -207,7 +185,7 @@ impl Engine {
     ///
     /// Returns [`GpmError::InvalidConfig`] if `config` fails
     /// [`CoreConfig::validate`] or `freq` is not positive.
-    pub(crate) fn new(config: &CoreConfig, freq: Hertz) -> Result<Self> {
+    fn new(config: &CoreConfig, freq: Hertz) -> Result<Self> {
         config.validate()?;
         if freq.value() <= 0.0 || freq.value().is_nan() {
             return Err(GpmError::InvalidConfig {
@@ -263,74 +241,36 @@ impl Engine {
         })
     }
 
-    /// The clock frequency this core runs at.
-    pub(crate) fn frequency(&self) -> Hertz {
-        self.freq
-    }
-
-    /// Total core cycles elapsed since construction.
-    pub(crate) fn now_cycles(&self) -> u64 {
-        self.cur_cycle
-    }
-
-    /// Drops ops fetched from a source but not yet executed.
-    pub(crate) fn discard_pending_ops(&mut self) {
-        self.op_buf_pos = 0;
-        self.op_buf_len = 0;
-    }
-
-    /// Stalls the core for exactly `cycles` cycles: the clock advances, no
-    /// instructions dispatch, and the cycles count as idle (not busy).
-    pub(crate) fn apply_stall_cycles(&mut self, cycles: u64) {
-        self.cur_cycle += cycles;
-        self.dispatched_in_cycle = 0;
-    }
-
-    /// Opens a segment that ends `cycles` core cycles from now.
-    pub(crate) fn open(&self, cycles: u64) -> Segment {
-        Segment {
-            stats: IntervalStats::default(),
-            end_cycle: self.cur_cycle.saturating_add(cycles),
-            start_cycle: self.cur_cycle,
-            busy_start: self.busy_cycles,
-        }
-    }
-
-    /// The statistics of `segment` up to now, cycle counts included.
-    pub(crate) fn close(&self, segment: &Segment) -> IntervalStats {
-        let mut stats = segment.stats;
-        stats.cycles = self.cur_cycle - segment.start_cycle;
-        stats.busy_cycles = self.busy_cycles - segment.busy_start;
-        stats
-    }
-
-    /// Steps ops from `source` against `memory` until the clock reaches
-    /// `stop_cycle` (the last op may overshoot it) or `op_budget` ops have
-    /// retired, whichever comes first, adding their events to `stats`.
-    /// Returns the number of ops retired.
+    /// Steps ops from `source` against `memory` until the clock has
+    /// advanced `cycles` cycles (the last op may overshoot) or `op_budget`
+    /// ops have retired, whichever comes first, and returns the statistics
+    /// of exactly this interval.
     ///
-    /// The delivery style is probed once per burst (the
+    /// The delivery style is probed once per call (the
     /// [`InstructionSource`] contract requires a consistent answer): a
     /// source that lends blocks is stepped straight out of its storage, any
     /// other through the engine's delivery buffer. Results never depend on
-    /// where a burst is cut, so callers may split a run into bursts freely.
+    /// the delivery style or on where a run is cut into intervals.
     ///
     /// # Panics
     ///
     /// Panics if the source violates the [`InstructionSource::fill_ops`]
     /// contract.
-    pub(crate) fn run_burst<S, M>(
+    fn run<S, M>(
         &mut self,
         source: &mut S,
         memory: &mut M,
-        stats: &mut IntervalStats,
-        stop_cycle: u64,
+        cycles: u64,
         op_budget: u64,
-    ) -> u64
+    ) -> IntervalStats
     where
-        S: InstructionSource + ?Sized,
-        M: MemorySubsystem + ?Sized,
+        S: InstructionSource,
+        M: MemorySubsystem,
     {
+        let start_cycle = self.cur_cycle;
+        let busy_start = self.busy_cycles;
+        let stop_cycle = start_cycle.saturating_add(cycles);
+        let mut stats = IntervalStats::default();
         let mut left = op_budget;
         if source.borrow_ops(1).is_some() {
             while self.cur_cycle < stop_cycle && left > 0 {
@@ -340,7 +280,7 @@ impl Engine {
                 };
                 let mut used = 0;
                 while used < block.len() && self.cur_cycle < stop_cycle {
-                    self.step_op(block[used], memory, stats);
+                    self.step_op(block[used], memory, &mut stats);
                     used += 1;
                 }
                 source.consume_ops(used);
@@ -358,44 +298,22 @@ impl Engine {
                 }
                 let op = self.op_buf[self.op_buf_pos];
                 self.op_buf_pos += 1;
-                self.step_op(op, memory, stats);
+                self.step_op(op, memory, &mut stats);
                 left -= 1;
             }
         }
-        op_budget - left
-    }
-
-    /// One complete interval: [`run_burst`](Self::run_burst) bracketed by
-    /// a segment of `cycles` cycles.
-    fn run<S, M>(
-        &mut self,
-        source: &mut S,
-        memory: &mut M,
-        cycles: u64,
-        op_budget: u64,
-    ) -> IntervalStats
-    where
-        S: InstructionSource + ?Sized,
-        M: MemorySubsystem + ?Sized,
-    {
-        let mut segment = self.open(cycles);
-        self.run_burst(
-            source,
-            memory,
-            &mut segment.stats,
-            segment.end_cycle,
-            op_budget,
-        );
-        self.close(&segment)
+        stats.cycles = self.cur_cycle - start_cycle;
+        stats.busy_cycles = self.busy_cycles - busy_start;
+        stats
     }
 
     /// Advances the scoreboard by one micro-op.
     ///
-    /// Force-inlined into the two delivery loops of
-    /// [`run_burst`](Self::run_burst), so each loop keeps the hot fields in
-    /// registers instead of paying a call per op.
+    /// Force-inlined into the two delivery loops of [`run`](Self::run), so
+    /// each loop keeps the hot fields in registers instead of paying a call
+    /// per op.
     #[inline(always)]
-    fn step_op<M: MemorySubsystem + ?Sized>(
+    fn step_op<M: MemorySubsystem>(
         &mut self,
         op: MicroOp,
         memory: &mut M,
@@ -521,7 +439,7 @@ impl Engine {
 
     /// L1D access, falling through to the memory subsystem on a miss.
     /// Returns the total load-to-use latency in core cycles.
-    fn data_access<M: MemorySubsystem + ?Sized>(
+    fn data_access<M: MemorySubsystem>(
         &mut self,
         addr: u64,
         at_cycle: u64,
@@ -587,8 +505,9 @@ impl Engine {
     }
 }
 
-/// One core of the CMP at a concrete clock frequency, with its private L2
-/// and memory.
+/// One core of the CMP at a concrete clock frequency, with the memory
+/// subsystem below its L1s: a private L2 and memory by default, or any other
+/// [`MemorySubsystem`] via [`with_memory`](CoreModel::with_memory).
 ///
 /// The model keeps all microarchitectural state (cache contents, predictor
 /// tables, in-flight completion times) across [`run_cycles`] calls, so a
@@ -597,14 +516,14 @@ impl Engine {
 ///
 /// [`run_cycles`]: CoreModel::run_cycles
 #[derive(Debug, Clone)]
-pub struct CoreModel {
+pub struct CoreModel<M: MemorySubsystem = PrivateMemory> {
     engine: Engine,
-    memory: PrivateMemory,
+    memory: M,
 }
 
 impl CoreModel {
     /// Builds a core at clock frequency `freq` (the DVFS-scaled frequency of
-    /// its current power mode).
+    /// its current power mode) with a private L2 and memory.
     ///
     /// # Errors
     ///
@@ -615,6 +534,34 @@ impl CoreModel {
             engine: Engine::new(config, freq)?,
             memory: PrivateMemory::new(config)?,
         })
+    }
+}
+
+impl<M: MemorySubsystem> CoreModel<M> {
+    /// Builds a core at clock frequency `freq` whose L1 misses go to
+    /// `memory` — e.g. a full-CMP core recording its L2 requests into a
+    /// [`DeferredL2`](crate::DeferredL2).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpmError::InvalidConfig`] if `config` fails
+    /// [`CoreConfig::validate`] or `freq` is not positive.
+    pub fn with_memory(config: &CoreConfig, freq: Hertz, memory: M) -> Result<Self> {
+        Ok(Self {
+            engine: Engine::new(config, freq)?,
+            memory,
+        })
+    }
+
+    /// The memory subsystem below the core's L1s.
+    #[must_use]
+    pub fn memory(&self) -> &M {
+        &self.memory
+    }
+
+    /// Mutable access to the memory subsystem below the core's L1s.
+    pub fn memory_mut(&mut self) -> &mut M {
+        &mut self.memory
     }
 
     /// The clock frequency this core instance runs at.
@@ -643,12 +590,26 @@ impl CoreModel {
     /// stream after cache warm-up) must discard the stale tail so the next
     /// run starts at the new source's first op.
     pub fn discard_pending_ops(&mut self) {
-        self.engine.discard_pending_ops();
+        self.engine.op_buf_pos = 0;
+        self.engine.op_buf_len = 0;
+    }
+
+    /// Stalls the core for exactly `cycles` cycles: the clock advances, no
+    /// instructions dispatch, and the cycles count as idle (not busy).
+    ///
+    /// This is the stall-credit entry point of the two-phase full-CMP
+    /// protocol: queueing and miss delays discovered during the serial L2
+    /// replay of one quantum are charged to the core at the start of its
+    /// next quantum. The credit is indistinguishable from a long in-order
+    /// memory stall — the dispatch window reopens afterwards.
+    pub fn apply_stall_cycles(&mut self, cycles: u64) {
+        self.engine.cur_cycle += cycles;
+        self.engine.dispatched_in_cycle = 0;
     }
 
     /// Runs the core against `source` for (at least) `target_cycles` core
-    /// cycles using the core's private L2 and memory, returning the
-    /// statistics of exactly this interval.
+    /// cycles, returning the statistics of exactly this interval. A target
+    /// of 0 steps nothing and returns empty statistics.
     pub fn run_cycles(
         &mut self,
         source: &mut impl InstructionSource,
@@ -1071,6 +1032,59 @@ mod tests {
         let stats = core.run_instructions(&mut fps, 100);
         assert_eq!(stats.fp_ops, 100);
         assert_eq!(stats.int_ops, 0, "stale buffered ops must not execute");
+    }
+
+    #[test]
+    fn stall_and_zero_target_advance_only_the_clock() {
+        let ops = vec![
+            MicroOp::int_alu(Some(1)),
+            MicroOp::load(0x4_0000, None),
+            MicroOp::branch(0x10, true),
+        ];
+        let mut stalled = core_at(1.0);
+        let mut twin = core_at(1.0);
+        let mut s = TestStream::cycle(ops.clone());
+        let mut t = TestStream::cycle(ops);
+
+        stalled.apply_stall_cycles(5_000);
+        assert_eq!(stalled.now_cycles(), 5_000);
+        // A fully stalled quantum is a zero target: nothing steps.
+        assert_eq!(stalled.run_cycles(&mut s, 0), IntervalStats::default());
+        assert_eq!(stalled.now_cycles(), 5_000, "a zero target did not step");
+
+        // The stall shifts the clock and nothing else: the next intervals
+        // match a core that never stalled.
+        for _ in 0..3 {
+            let a = stalled.run_cycles(&mut s, 10_000);
+            assert!(a.instructions > 0);
+            assert_eq!(a, twin.run_cycles(&mut t, 10_000));
+        }
+        assert_eq!(stalled.now_cycles(), twin.now_cycles() + 5_000);
+    }
+
+    #[test]
+    fn with_memory_steps_against_the_given_subsystem() {
+        use crate::DeferredL2;
+        let config = CoreConfig::power4();
+        let mut core =
+            CoreModel::with_memory(&config, Hertz::from_ghz(1.0), DeferredL2::new(9.0)).unwrap();
+        let mut sweep = TestStream::cycle((0..64).map(|i| MicroOp::load(i << 20, None)).collect());
+        let stats = core.run_cycles(&mut sweep, 10_000);
+        assert!(stats.l1d_misses > 0);
+        assert_eq!(core.memory().log().len() as u64, stats.l2_accesses);
+        core.memory_mut().reset();
+        assert!(core.memory().log().is_empty());
+
+        let mut bad = config.clone();
+        bad.predictor.bimodal_entries = 1000;
+        assert!(matches!(
+            CoreModel::with_memory(&bad, Hertz::from_ghz(1.0), DeferredL2::new(9.0)),
+            Err(GpmError::InvalidConfig {
+                parameter: "predictor",
+                ..
+            })
+        ));
+        assert!(CoreModel::new(&config, Hertz::new(0.0)).is_err());
     }
 
     #[test]

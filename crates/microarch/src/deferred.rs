@@ -62,7 +62,7 @@ impl DeferredL2 {
 
     /// Updates the per-access charge for subsequent quanta.
     ///
-    /// The full-CMP replay sets this to the lane's observed mean L2
+    /// The full-CMP replay sets this to the core's observed mean L2
     /// latency, so the recording timeline tracks the real one and the
     /// correction credits stay small.
     pub fn set_charge_ns(&mut self, charge_ns: f64) {

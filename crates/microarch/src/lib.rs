@@ -58,7 +58,6 @@ mod cache;
 mod config;
 mod core_model;
 mod deferred;
-mod lanes;
 mod op;
 mod prefetch;
 mod stats;
@@ -68,7 +67,6 @@ pub use cache::{AccessOutcome, CacheConfig, SetAssocCache};
 pub use config::{CoreConfig, MemoryConfig};
 pub use core_model::{AccessKind, CoreModel, MemorySubsystem, PrivateMemory};
 pub use deferred::{DeferredL2, L2Request};
-pub use lanes::LaneBatch;
 pub use op::{InstructionSource, MicroOp, OpKind};
 pub use prefetch::StreamPrefetcher;
 pub use stats::{ActivityFactors, IntervalStats};

@@ -1,12 +1,14 @@
 //! Trace capture: deterministic runs of each benchmark at each mode.
 //!
-//! Each (benchmark, mode) run is an independent simulation; the per-mode
-//! captures of one benchmark are spread across the `gpm_par` worker pool
-//! without changing the captured bytes.
+//! Each (benchmark, mode) run is an independent simulation: one
+//! [`CoreModel`] stepped through `delta` intervals, as the paper's
+//! single-core Turandot runs are. The per-mode runs of one benchmark replay
+//! one shared instruction tape when it fits in memory, and are spread
+//! across the `gpm_par` worker pool without changing the captured bytes.
 
-use gpm_microarch::{CoreConfig, CoreModel, InstructionSource, LaneBatch, PrivateMemory};
+use gpm_microarch::{CoreConfig, CoreModel, InstructionSource};
 use gpm_power::{DvfsParams, PowerModel};
-use gpm_types::{Hertz, Micros, PowerMode, Result};
+use gpm_types::{GpmError, Micros, PowerMode, Result};
 use gpm_workloads::{SharedTape, SpecBenchmark, WorkloadCombo};
 
 use crate::{BenchmarkTraces, ModeTrace, TraceSample};
@@ -26,22 +28,15 @@ fn tape_max_ops() -> u64 {
 
 /// Which stepping engine drives the per-mode capture runs.
 ///
-/// Both engines produce byte-identical traces — the lane kernel steps each
-/// lane through the exact scalar scoreboard logic — so this is purely a
-/// performance choice, kept selectable so the scalar reference stays
-/// exercised (equivalence tests) and measurable (benches).
+/// There is one: each mode runs on its own [`CoreModel`], and the modes
+/// spread across the `gpm_par` worker pool. The enum and
+/// [`CaptureConfig::engine`] remain only because the `perfbench` harness
+/// names `CaptureEngine::Scalar` and `CaptureEngine::default()` and sets
+/// the field; they go when that harness next changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CaptureEngine {
-    /// All power modes of a benchmark batched through one
-    /// [`LaneBatch::step_lanes`] kernel call: the modes replay the same
-    /// instruction tape at adjacent positions, so a capture costs roughly
-    /// one memory pass instead of three and the host overlaps the lanes'
-    /// dependency chains.
+    /// One [`CoreModel`] per mode, spread across the `gpm_par` worker pool.
     #[default]
-    LaneBatched,
-    /// One scalar [`CoreModel`] per mode, spread across the `gpm_par`
-    /// worker pool — the reference implementation the lane kernel is
-    /// pinned against.
     Scalar,
 }
 
@@ -73,7 +68,7 @@ pub struct CaptureConfig {
     /// Cycles of cache/predictor warm-up simulated (and discarded) before
     /// sample collection starts.
     pub warmup_cycles: u64,
-    /// Stepping engine for the per-mode runs; byte-identical outputs, see
+    /// Stepping engine for the per-mode runs; there is only one, see
     /// [`CaptureEngine`].
     pub engine: CaptureEngine,
 }
@@ -116,6 +111,55 @@ impl CaptureConfig {
         }
     }
 
+    /// Checks that a capture under this configuration terminates and is
+    /// well defined: a valid core, a finite positive clock at every mode, a
+    /// finite `delta` of at least one cycle at every mode's clock (the
+    /// slowest is Eff2), a finite positive `duration_limit` if one is set,
+    /// and a finite, non-negative `margin`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpmError::InvalidConfig`] naming the first rejected
+    /// parameter.
+    pub fn validate(&self) -> Result<()> {
+        self.core.validate()?;
+        let invalid =
+            |parameter, reason: String| Err(GpmError::InvalidConfig { parameter, reason });
+        for mode in PowerMode::ALL {
+            let freq = self.dvfs.frequency(mode);
+            if !(freq.is_finite() && freq.value() > 0.0) {
+                return invalid(
+                    "dvfs.nominal_frequency",
+                    format!("{mode} clock must be finite and positive, got {freq}"),
+                );
+            }
+            if !self.delta.is_finite() || freq.cycles_in(self.delta).value() == 0 {
+                return invalid(
+                    "delta",
+                    format!(
+                        "must be finite and at least one {mode} cycle, got {}",
+                        self.delta
+                    ),
+                );
+            }
+        }
+        if let Some(limit) = self.duration_limit {
+            if !(limit.is_finite() && limit.value() > 0.0) {
+                return invalid(
+                    "duration_limit",
+                    format!("must be finite and positive, got {limit}"),
+                );
+            }
+        }
+        if !(self.margin.is_finite() && self.margin >= 0.0) {
+            return invalid(
+                "margin",
+                format!("must be finite and non-negative, got {}", self.margin),
+            );
+        }
+        Ok(())
+    }
+
     /// The effective region length for `bench` under this configuration,
     /// before any duration-based truncation.
     #[must_use]
@@ -134,9 +178,10 @@ impl CaptureConfig {
 ///
 /// # Errors
 ///
-/// Propagates configuration validation failures.
+/// Returns [`GpmError::InvalidConfig`] if `config` fails
+/// [`CaptureConfig::validate`].
 pub fn capture_benchmark(bench: SpecBenchmark, config: &CaptureConfig) -> Result<BenchmarkTraces> {
-    config.core.validate()?;
+    config.validate()?;
     let region = config.region_of(bench);
     let margin_of = |r: u64| r + ((r as f64 * config.margin) as u64).max(1000);
 
@@ -206,11 +251,9 @@ fn capture_all_modes<S: InstructionSource, F: Fn() -> S + Sync>(
     (region, traces)
 }
 
-/// Captures `modes` over sources built by `make_source`, dispatching on the
-/// configured [`CaptureEngine`]. Both arms produce byte-identical traces in
-/// `modes` order: the scalar arm maps independent per-mode simulations over
-/// the worker pool, the batched arm runs one lane per mode through a single
-/// lockstep kernel call on the calling thread.
+/// Captures `modes` over sources built by `make_source`, one independent
+/// [`capture_mode`] run per mode across the worker pool, returning the
+/// traces in `modes` order.
 fn capture_modes<S: InstructionSource, F: Fn() -> S + Sync>(
     make_source: &F,
     modes: &[PowerMode],
@@ -218,18 +261,9 @@ fn capture_modes<S: InstructionSource, F: Fn() -> S + Sync>(
     max_duration: Option<Micros>,
     config: &CaptureConfig,
 ) -> Vec<ModeTrace> {
-    match config.engine {
-        CaptureEngine::Scalar => gpm_par::parallel_map(modes, |&mode| {
-            capture_mode(make_source, mode, target_instructions, max_duration, config)
-        }),
-        CaptureEngine::LaneBatched => capture_modes_batched(
-            make_source,
-            modes,
-            target_instructions,
-            max_duration,
-            config,
-        ),
-    }
+    gpm_par::parallel_map(modes, |&mode| {
+        capture_mode(make_source, mode, target_instructions, max_duration, config)
+    })
 }
 
 /// Captures every benchmark of `combo` (deduplicated by benchmark).
@@ -272,8 +306,7 @@ fn capture_mode<S: InstructionSource>(
     config: &CaptureConfig,
 ) -> ModeTrace {
     let freq = config.dvfs.frequency(mode);
-    let mut core =
-        CoreModel::new(&config.core, freq).expect("core config validated by capture entry points");
+    let mut core = CoreModel::new(&config.core, freq).expect("validated by capture_benchmark");
     let mut stream = make_source();
     let delta_cycles = freq.cycles_in(config.delta).value();
 
@@ -305,84 +338,10 @@ fn capture_mode<S: InstructionSource>(
     ModeTrace::new(mode, config.delta, samples)
 }
 
-/// Batched twin of [`capture_mode`]: one lane per mode through a single
-/// [`LaneBatch::step_lanes`] call, so the modes replay the shared tape at
-/// adjacent positions (one cache-hot memory pass over the op stream) while
-/// the host overlaps their independent dependency chains.
-///
-/// Every per-mode quantity the scalar path derives (warm-up drain, interval
-/// targets, the sample-loop continuation test) is computed per lane with the
-/// same arithmetic, so the assembled traces are byte-identical.
-fn capture_modes_batched<S: InstructionSource>(
-    make_source: &impl Fn() -> S,
-    modes: &[PowerMode],
-    target_instructions: u64,
-    max_duration: Option<Micros>,
-    config: &CaptureConfig,
-) -> Vec<ModeTrace> {
-    let lanes = modes.len();
-    let freqs: Vec<Hertz> = modes.iter().map(|&m| config.dvfs.frequency(m)).collect();
-    let mut batch = LaneBatch::new(&config.core, &freqs)
-        .expect("core config validated by capture entry points");
-    let mut memories: Vec<PrivateMemory> = (0..lanes)
-        .map(|_| PrivateMemory::new(&config.core).expect("validated"))
-        .collect();
-    let delta_cycles: Vec<u64> = freqs
-        .iter()
-        .map(|f| f.cycles_in(config.delta).value())
-        .collect();
-
-    // Warm up caches and predictors, then restart every lane's stream so
-    // instruction indices line up across modes; warm-up stats are discarded
-    // by a callback that never extends the segment.
-    if config.warmup_cycles > 0 {
-        let mut warm: Vec<S> = (0..lanes).map(|_| make_source()).collect();
-        let targets = vec![config.warmup_cycles; lanes];
-        batch.step_lanes(&mut warm, &mut memories, &targets, |_, _| None);
-        batch.discard_pending_ops();
-    }
-
-    let max_samples = max_duration
-        .map(|d| (d.value() / config.delta.value()).ceil() as usize)
-        .unwrap_or(usize::MAX);
-    let mut samples: Vec<Vec<TraceSample>> = vec![Vec::new(); lanes];
-    let mut committed = vec![0u64; lanes];
-    // The scalar loop tests its bounds *before* the first interval; an
-    // already-satisfied bound must produce zero samples here too.
-    let live = target_instructions > 0 && max_samples > 0;
-    let targets: Vec<u64> = if live {
-        delta_cycles.clone()
-    } else {
-        vec![0; lanes]
-    };
-    let mut sources: Vec<S> = (0..lanes).map(|_| make_source()).collect();
-    batch.step_lanes(&mut sources, &mut memories, &targets, |lane, stats| {
-        if !live {
-            return None;
-        }
-        committed[lane] += stats.instructions;
-        let power = config.power.power(&stats.activity(), modes[lane]);
-        samples[lane].push(TraceSample {
-            instructions_end: committed[lane],
-            power_w: power.value(),
-            bips: stats.bips_at(freqs[lane]).value(),
-        });
-        if committed[lane] < target_instructions && samples[lane].len() < max_samples {
-            Some(delta_cycles[lane])
-        } else {
-            None
-        }
-    });
-    modes
-        .iter()
-        .zip(samples)
-        .map(|(&mode, s)| ModeTrace::new(mode, config.delta, s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpm_types::Hertz;
     use gpm_workloads::combos;
 
     fn fast_config() -> CaptureConfig {
@@ -456,6 +415,67 @@ mod tests {
         let a = capture_benchmark(SpecBenchmark::Art, &cfg).unwrap();
         let b = capture_benchmark(SpecBenchmark::Art, &cfg).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn validate_rejects_configs_that_cannot_terminate() {
+        assert!(CaptureConfig::default().validate().is_ok());
+        let rejects = |config: CaptureConfig, name: &str| {
+            assert!(
+                matches!(
+                    config.validate(),
+                    Err(GpmError::InvalidConfig { parameter, .. }) if parameter == name
+                ),
+                "{name} must be rejected"
+            );
+        };
+        for delta in [0.0, -1.0, f64::NAN, f64::INFINITY, 1.0e-4] {
+            let mut cfg = fast_config();
+            cfg.delta = Micros::new(delta);
+            rejects(cfg, "delta");
+        }
+        for ghz in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = fast_config();
+            cfg.dvfs.nominal_frequency = Hertz::from_ghz(ghz);
+            rejects(cfg, "dvfs.nominal_frequency");
+        }
+        for limit in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = fast_config();
+            cfg.duration_limit = Some(Micros::new(limit));
+            rejects(cfg, "duration_limit");
+        }
+        for margin in [-0.01, f64::NAN, f64::INFINITY] {
+            let mut cfg = fast_config();
+            cfg.margin = margin;
+            rejects(cfg, "margin");
+        }
+        let mut cfg = fast_config();
+        cfg.core.predictor.bimodal_entries = 1000;
+        rejects(cfg, "predictor");
+
+        // One cycle at Eff2 (0.85 GHz) is the shortest delta accepted.
+        let mut cfg = fast_config();
+        cfg.delta = Micros::new(1.0 / 850.0);
+        assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn capture_refuses_invalid_configs() {
+        let mut cfg = CaptureConfig::fast(10_000);
+        cfg.delta = Micros::new(0.0);
+        assert!(matches!(
+            capture_benchmark(SpecBenchmark::Gcc, &cfg),
+            Err(GpmError::InvalidConfig {
+                parameter: "delta",
+                ..
+            })
+        ));
+        cfg.delta = Micros::new(50.0);
+        cfg.dvfs.nominal_frequency = Hertz::new(f64::NAN);
+        assert!(capture_benchmark(SpecBenchmark::Gcc, &cfg).is_err());
+        // A NaN duration limit used to panic building a sample-less trace.
+        let cfg = CaptureConfig::fast_duration(Micros::new(f64::NAN));
+        assert!(capture_benchmark(SpecBenchmark::Gcc, &cfg).is_err());
     }
 
     #[test]

@@ -27,32 +27,27 @@ GPM_THREADS=2 cargo test --workspace --quiet
 # The fault-injection substrate promises pool-width-independent, seeded
 # determinism on the manager control path; run its test group explicitly
 # under both widths so the seam tests cannot silently drop out of the
-# workspace filter, and lint the new crate at zero-warning strictness.
-echo "==> fault substrate: tests under two pool widths + clippy -D warnings"
+# workspace filter.
+echo "==> fault substrate: tests under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test fault_recovery --test fault_invariants
 GPM_THREADS=2 cargo test --quiet --test fault_recovery --test fault_invariants
-cargo clippy -p gpm-faults --all-targets -- -D warnings
 
 # The exact branch-and-bound behind MaxBIPS promises bit-identical
 # decisions to the exhaustive scan; run its equivalence group explicitly
-# under both pool widths (the 16-way manager run rides the worker pool)
-# and lint the solver's crate at zero-warning strictness.
-echo "==> solver: equivalence tests under two pool widths + clippy -D warnings"
+# under both pool widths (the 16-way manager run rides the worker pool).
+echo "==> solver: equivalence tests under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test solver_equivalence
 GPM_THREADS=2 cargo test --quiet --test solver_equivalence
-cargo clippy -p gpm-core --all-targets -- -D warnings
 
-# The lane batch (N scalar cores stepped round-robin) promises
-# bit-identity with a standalone core for any lane count, turn schedule,
-# delivery style and pool width; run the equivalence group (golden trace
-# hashes, scalar-vs-batched engines, the mixed-mode lane batch and the
-# mixed-delivery quantum-boundary proptest) under a serial and a
-# saturated pool, and lint the core-model crate at zero-warning
-# strictness.
-echo "==> lane kernel: step_equivalence under two pool widths + clippy -D warnings"
+# Every core is stepped by one type, CoreModel. It promises the same
+# interval statistics for any delivery style (generator, one-op trickle,
+# borrowed tape blocks), any quantum boundaries and any pool width; run
+# the equivalence group (golden trace hashes of every capture, the
+# one-op delivery comparison and the tape-vs-generator quantum-boundary
+# proptest) under a serial and a saturated pool.
+echo "==> core stepping: step_equivalence under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test step_equivalence
 GPM_THREADS=8 cargo test --quiet --test step_equivalence
-cargo clippy -p gpm-microarch --all-targets -- -D warnings
 
 # The full-CMP simulator has one drive: clusters with private L2s behind
 # an interconnect, the paper's chip being the one-cluster, free-fabric
@@ -60,20 +55,17 @@ cargo clippy -p gpm-microarch --all-targets -- -D warnings
 # that chip through `new` (cmp_equivalence) and through `with_topology`
 # (hier_equivalence), and a scheduling-independent 64-way 8x8 golden
 # hash. Run both groups (plus the arbiter conservation proptest) under a
-# serial and a saturated pool, and lint the simulator crate at
-# zero-warning strictness.
-echo "==> hierarchical tier: cmp_equivalence + hier_equivalence under two pool widths + clippy -D warnings"
+# serial and a saturated pool.
+echo "==> hierarchical tier: cmp_equivalence + hier_equivalence under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test cmp_equivalence --test hier_equivalence
 GPM_THREADS=8 cargo test --quiet --test cmp_equivalence --test hier_equivalence
-cargo clippy -p gpm-cmp --all-targets -- -D warnings
 
 # The fleet-mode decision engine promises bit-identical cached decisions
 # under exact keying (memoized solves, CachedMaxBips manager runs) and a
 # pool-width-independent tick protocol (dedup groups, residual misses over
 # the worker pool, serial insert replay); run its equivalence group under
-# a serial and a saturated pool and lint every crate the engine touches at
-# zero-warning strictness (gpm-core is already linted above).
-echo "==> fleet engine: fleet_equivalence under two pool widths + clippy -D warnings"
+# a serial and a saturated pool.
+echo "==> fleet engine: fleet_equivalence under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test fleet_equivalence
 GPM_THREADS=8 cargo test --quiet --test fleet_equivalence
 
@@ -85,9 +77,6 @@ GPM_THREADS=8 cargo test --quiet --test fleet_equivalence
 echo "==> fleet chaos: fleet_chaos under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test fleet_chaos
 GPM_THREADS=8 cargo test --quiet --test fleet_chaos
-cargo clippy -p gpm-types --all-targets -- -D warnings
-cargo clippy -p gpm-experiments --all-targets -- -D warnings
-cargo clippy -p gpm-cli --all-targets -- -D warnings
 
 # The fleet service promises wire-level determinism: per-node decision
 # streams bit-identical across shard counts, pool widths and transports,
@@ -96,12 +85,10 @@ cargo clippy -p gpm-cli --all-targets -- -D warnings
 # front. It also promises an allocation budget: a decoded report is one
 # heap block, a decision none, and a warm tick allocates per distinct
 # problem, not per report (alloc_budget, a counting global allocator).
-# Run both groups under a serial and a saturated pool and lint the wire
-# crate at zero-warning strictness.
-echo "==> fleet service: serve_equivalence + alloc_budget under two pool widths + clippy -D warnings"
+# Run both groups under a serial and a saturated pool.
+echo "==> fleet service: serve_equivalence + alloc_budget under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test serve_equivalence --test alloc_budget
 GPM_THREADS=8 cargo test --quiet --test serve_equivalence --test alloc_budget
-cargo clippy -p gpm-net --all-targets -- -D warnings
 
 # Loopback serve smoke: `gpm serve` + `gpm loadgen` must keep running end
 # to end from the CLI over both transports — a Unix socket under a serial
@@ -172,8 +159,8 @@ cargo run --release --quiet -p gpm-cli -- figure fleet --nodes 64 --fast \
     --fault-seed 7 > /dev/null
 
 # Smoke-run the throughput baseline (including the full-CMP two-phase
-# cases, the lane-batched vs scalar capture-engine cases and the
-# policy-decide latency cases) so the bench target cannot bit-rot;
+# cases and the policy-decide latency cases) so the bench target cannot
+# bit-rot;
 # GPM_BENCH_QUICK bounds the run and failure means panic, not
 # regression.
 echo "==> GPM_BENCH_QUICK=1 cargo bench -p gpm-bench --bench sim_throughput"

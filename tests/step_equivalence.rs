@@ -1,9 +1,9 @@
-//! Equivalence guarantees for the batched hot path.
+//! Equivalence guarantees for the core-stepping hot path.
 //!
 //! The instruction-stepping overhaul (batched op delivery, monomorphized
 //! memory path, shared replay tape, integer-domain stream thresholds) is a
 //! pure performance change: every observable output must be bit-identical
-//! to the original one-op-at-a-time implementation. Two guards pin that:
+//! to the original one-op-at-a-time implementation. Three guards pin that:
 //!
 //! 1. Golden trace hashes: the serialized per-mode traces of all 12
 //!    benchmarks must hash to the values recorded from the pre-overhaul
@@ -12,21 +12,17 @@
 //! 2. Delivery-shape independence: a source that trickles ops one per
 //!    `fill_ops` call must produce exactly the same interval statistics as
 //!    the same stream delivering full batches, at every DVFS frequency.
-//! 3. Engine independence: the lane-batched kernel (`LaneBatch`) and the
-//!    scalar `CoreModel` path must agree byte-for-byte — via the same
-//!    golden hashes for full captures, via direct `IntervalStats` equality
-//!    for mixed-mode lane batches, and via a property test over random
-//!    quantum boundaries on batches that mix generator lanes with lanes
-//!    replaying shared tapes.
+//! 3. Borrowed-block delivery: a `CoreModel` replaying a `SharedTape`
+//!    (the path capture takes whenever the tape fits) must match one fed
+//!    the generator, segment for segment, wherever random quantum
+//!    boundaries — zero-length ones included — cut the run.
 
 use std::collections::HashMap;
 
-use gpm::microarch::{
-    CoreConfig, CoreModel, InstructionSource, IntervalStats, LaneBatch, MicroOp, PrivateMemory,
-};
+use gpm::microarch::{CoreConfig, CoreModel, InstructionSource, MicroOp};
 use gpm::power::DvfsParams;
-use gpm::trace::{capture_benchmark, CaptureConfig, CaptureEngine};
-use gpm::types::{Hertz, PowerMode};
+use gpm::trace::{capture_benchmark, CaptureConfig};
+use gpm::types::PowerMode;
 use gpm::workloads::{SharedTape, SpecBenchmark};
 use proptest::prelude::*;
 
@@ -133,155 +129,50 @@ impl<S: InstructionSource> InstructionSource for OneAtATime<S> {
     }
 }
 
-/// The scalar capture engine must reproduce the same goldens the default
-/// lane-batched engine is checked against above — pinning the two engines
-/// to each other *and* to the pre-overhaul bytes, for all 12 benchmarks ×
-/// 3 modes.
-#[test]
-fn scalar_engine_matches_lane_batched_goldens() {
-    let mut config = CaptureConfig::fast(150_000);
-    config.engine = CaptureEngine::Scalar;
-    for (name, golden) in GOLDEN_TRACE_HASHES {
-        let bench = SpecBenchmark::ALL
-            .into_iter()
-            .find(|b| b.name() == name)
-            .expect("golden table names a known benchmark");
-        let traces = capture_benchmark(bench, &config).expect("capture");
-        for (mode, expected) in [PowerMode::Turbo, PowerMode::Eff1, PowerMode::Eff2]
-            .into_iter()
-            .zip(golden)
-        {
-            let json = serde_json::to_string(traces.trace(mode)).expect("serialize");
-            assert_eq!(
-                fnv1a(json.as_bytes()),
-                expected,
-                "scalar-engine trace bytes diverged for {name} at {mode}",
-            );
-        }
-    }
-}
-
-/// One lane of a comparison: benchmark, clock, segment lengths in cycles,
-/// and whether the batch lane replays a tape instead of the generator.
-type LanePlan = (SpecBenchmark, Hertz, Vec<u64>, bool);
-
-/// Steps `segments` of cycles on a scalar core (always fed the generator)
-/// and on one lane of a batch (fed the generator or a tape, per the plan;
-/// taped lanes of one benchmark co-replay one shared tape), returning both
-/// interval-stat sequences for comparison.
-fn run_both_paths(
-    config: &CoreConfig,
-    plan: &[LanePlan],
-) -> (Vec<Vec<IntervalStats>>, Vec<Vec<IntervalStats>>) {
-    let scalar: Vec<Vec<IntervalStats>> = plan
-        .iter()
-        .map(|(bench, freq, segments, _)| {
-            let mut core = CoreModel::new(config, *freq).expect("valid config");
-            let mut stream = bench.stream();
-            segments
-                .iter()
-                .map(|&cycles| core.run_cycles(&mut stream, cycles))
-                .collect()
-        })
-        .collect();
-
-    let freqs: Vec<Hertz> = plan.iter().map(|(_, f, _, _)| *f).collect();
-    let mut batch = LaneBatch::new(config, &freqs).expect("valid config");
-    // Mixed delivery: a tape reader lends blocks, a generator fills the
-    // core's buffer, and the kernel picks each lane's turn budget from that.
-    let mut tapes = HashMap::new();
-    let mut sources: Vec<Box<dyn InstructionSource>> = plan
-        .iter()
-        .map(|&(bench, _, _, taped)| -> Box<dyn InstructionSource> {
-            if taped {
-                let tape = tapes
-                    .entry(bench.name())
-                    .or_insert_with(|| SharedTape::new(bench.stream()));
-                Box::new(tape.reader())
-            } else {
-                Box::new(bench.stream())
-            }
-        })
-        .collect();
-    let mut memories: Vec<PrivateMemory> = plan
-        .iter()
-        .map(|_| PrivateMemory::new(config).expect("valid config"))
-        .collect();
-    let first: Vec<u64> = plan.iter().map(|(_, _, s, _)| s[0]).collect();
-    let mut done = vec![0usize; plan.len()];
-    let mut batched: Vec<Vec<IntervalStats>> = vec![Vec::new(); plan.len()];
-    batch.step_lanes(&mut sources, &mut memories, &first, |lane, stats| {
-        batched[lane].push(*stats);
-        done[lane] += 1;
-        plan[lane].2.get(done[lane]).copied()
-    });
-    (scalar, batched)
-}
-
-/// A mixed-mode 8-lane batch — different benchmarks at different DVFS
-/// frequencies, uneven segment schedules — must match eight independent
-/// scalar cores segment-for-segment.
-#[test]
-fn mixed_mode_eight_lane_batch_matches_scalar_cores() {
-    let dvfs = DvfsParams::paper();
-    let plan: Vec<LanePlan> = SpecBenchmark::ALL
-        .into_iter()
-        .take(8)
-        .enumerate()
-        .map(|(i, bench)| {
-            let mode = PowerMode::ALL[i % PowerMode::ALL.len()];
-            let segments = (0..3)
-                .map(|k| 20_000 + 7_000 * ((i + k) % 3) as u64)
-                .collect();
-            (bench, dvfs.frequency(mode), segments, false)
-        })
-        .collect();
-    let (scalar, batched) = run_both_paths(&CoreConfig::power4(), &plan);
-    for (lane, (bench, _, _, _)) in plan.iter().enumerate() {
-        assert_eq!(
-            scalar[lane],
-            batched[lane],
-            "lane {lane} ({}) diverged from its scalar twin",
-            bench.name(),
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary quantum boundaries — including zero-cycle segments — must
-    /// never open a gap between the scalar and lane-batched paths: the
-    /// per-segment `IntervalStats` are identical wherever the cuts land,
-    /// whether a lane generates its ops (one turn straight through its
-    /// segments) or replays a shared tape (chunked turns that cross
-    /// segment boundaries), in any mix.
+    /// never open a gap between a core replaying a shared tape (borrowed
+    /// blocks, stepped straight out of the recording) and a core fed the
+    /// generator (buffered `fill_ops` delivery): the per-segment
+    /// `IntervalStats` are identical wherever the cuts land. Cores of one
+    /// benchmark co-replay one tape, as capture's mode runs do.
     #[test]
     fn random_quantum_boundaries_match_scalar(
-        lanes in prop::collection::vec(
+        cores in prop::collection::vec(
             (
                 0usize..SpecBenchmark::ALL.len(),
                 0usize..PowerMode::ALL.len(),
                 prop::collection::vec(0u64..30_000, 1..5),
-                any::<bool>(),
             ),
             1..5,
         ),
     ) {
+        let config = CoreConfig::power4();
         let dvfs = DvfsParams::paper();
-        let plan: Vec<LanePlan> = lanes
-            .into_iter()
-            .map(|(b, m, segments, taped)| {
-                (
-                    SpecBenchmark::ALL[b],
-                    dvfs.frequency(PowerMode::ALL[m]),
-                    segments,
-                    taped,
-                )
-            })
-            .collect();
-        let (scalar, batched) = run_both_paths(&CoreConfig::power4(), &plan);
-        prop_assert_eq!(scalar, batched);
+        let mut tapes = HashMap::new();
+        for (b, m, segments) in cores {
+            let bench = SpecBenchmark::ALL[b];
+            let freq = dvfs.frequency(PowerMode::ALL[m]);
+            let tape = tapes
+                .entry(bench.name())
+                .or_insert_with(|| SharedTape::new(bench.stream()));
+            let mut reader = tape.reader();
+            let mut stream = bench.stream();
+            let mut taped = CoreModel::new(&config, freq).expect("valid config");
+            let mut generated = CoreModel::new(&config, freq).expect("valid config");
+            for cycles in segments {
+                prop_assert_eq!(
+                    taped.run_cycles(&mut reader, cycles),
+                    generated.run_cycles(&mut stream, cycles),
+                    "{} at {} cut at {} cycles",
+                    bench.name(),
+                    freq.as_ghz(),
+                    cycles,
+                );
+            }
+        }
     }
 }
 
