@@ -650,12 +650,10 @@ fn serve_config(
             plan = plan.seeded(seed);
         }
         config.faults = Some(plan);
-        config.degraded = Some(gpm_core::DegradedConfig::default());
+        config.degraded = true;
     }
     if let Some(watts) = rack_budget {
-        config.rack = Some(gpm_core::RackConfig::new(gpm_types::Watts::new(
-            watts / shards as f64,
-        )));
+        config.rack_budget = Some(gpm_types::Watts::new(watts / shards as f64));
     }
     Ok(config)
 }

@@ -40,23 +40,23 @@
 //!    decision) independent of the pool width.
 //! 5. **Degraded-mode fallback.** With [`FleetConfig::degraded`] set, a
 //!    node whose report was dropped, invalidated or timed out still gets a
-//!    decision: its last successfully-issued assignment stepped down
-//!    [`DegradedConfig::clamp_steps`] modes (power-safe: staleness only
-//!    ever lowers power), or all-Eff2 when no last-good assignment exists.
+//!    decision: its last successfully-issued assignment stepped down one
+//!    mode (power-safe: staleness only ever lowers power), or all-Eff2
+//!    when no last-good assignment exists.
 //!    Fallback decisions are flagged [`NodeDecision::degraded`] and counted
 //!    separately — they never enter the cache-accounting identity.
-//! 6. **Rack budget + watchdog.** With [`FleetConfig::rack`] set, the
+//! 6. **Rack budget + watchdog.** With [`FleetConfig::rack_budget`] set, the
 //!    engine estimates total rack power each tick; when the estimate
 //!    exceeds the rack budget (e.g. after [`FleetEngine::set_rack_budget`]
 //!    steps it down mid-run), emergency shedding clamps nodes to all-Eff2
 //!    in deterministic priority order (highest estimated power first, node
 //!    id as tie-break) until the estimate fits. A rack-level violation
-//!    watchdog mirrors the per-chip one in `manager.rs`: K consecutive
-//!    violation ticks force a whole-rack Eff2 clamp whose hold time backs
-//!    off exponentially.
+//!    watchdog mirrors the per-chip one in `manager.rs`: 3 consecutive
+//!    violation ticks force a whole-rack Eff2 clamp held 2 ticks, the hold
+//!    doubling per trip up to 32.
 //!
-//! With exact keying (the default quanta) and no chaos/degraded/rack
-//! configuration, the emitted decisions are bit-identical to solving every
+//! Cache keys are exact bit patterns, so with no chaos/degraded/rack
+//! configuration the emitted decisions are bit-identical to solving every
 //! accepted report individually — and bit-identical to the engine before
 //! the fault-tolerance layer existed.
 //!
@@ -68,8 +68,7 @@ use std::time::Instant;
 use gpm_faults::{CorruptField, FleetFaultPlan, FleetFaultSession, SensorStatus};
 use gpm_power::DvfsParams;
 use gpm_types::{
-    quantize_value, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey,
-    QuantizedKeyBuilder, Result, Watts,
+    GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, QuantizedKeyBuilder, Result, Watts,
 };
 
 use crate::policy::{solver, CacheConfig, CacheSnapshot, HierMaxBips, Policy, PolicyContext};
@@ -80,66 +79,32 @@ use crate::{DecisionCache, PowerBipsMatrices};
 /// cache as problems plus budget-ranged answers.
 pub const FLEET_CHECKPOINT_VERSION: u32 = 2;
 
-/// Degraded-operation knobs: what the engine does for nodes whose reports
-/// were dropped, invalidated or timed out, and how rejected submitters
-/// should back off.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedConfig {
-    /// How many modes a fallback decision steps each core down from the
-    /// node's last-good assignment (power-safe clamp; saturates at Eff2).
-    pub clamp_steps: usize,
-    /// Base retry delay, in ticks, after a node's first backpressure
-    /// rejection.
-    pub retry_base: u64,
-    /// Cap on the backoff exponent: the n-th consecutive rejection yields
-    /// a `retry_base << min(n - 1, retry_max_exp)` tick delay.
-    pub retry_max_exp: u32,
-}
+/// How many modes a degraded-mode fallback steps each core down from the
+/// node's last-good assignment (power-safe clamp; saturates at Eff2).
+const FALLBACK_STEPS: usize = 1;
 
-impl Default for DegradedConfig {
-    fn default() -> Self {
-        Self {
-            clamp_steps: 1,
-            retry_base: 1,
-            retry_max_exp: 6,
-        }
-    }
-}
+/// Retry delay, in ticks, advised after a node's first backpressure
+/// rejection in degraded mode.
+const RETRY_BASE: u64 = 1;
 
-/// Rack-level power-budget enforcement: emergency shedding plus a
-/// violation watchdog mirroring the per-chip guard rails.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RackConfig {
-    /// Total rack power budget the per-tick estimate must fit under.
-    pub budget: Watts,
-    /// Consecutive estimated-violation ticks tolerated before the
-    /// watchdog clamps the whole rack to Eff2.
-    pub watchdog_k: usize,
-    /// How many ticks the first whole-rack clamp holds.
-    pub clamp_hold: u64,
-    /// Ceiling on the exponential clamp-hold backoff.
-    pub max_backoff: u64,
-}
+/// Cap on the backoff exponent: the n-th consecutive rejection advises a
+/// `RETRY_BASE << min(n - 1, RETRY_MAX_EXP)` tick delay.
+const RETRY_MAX_EXP: u32 = 6;
 
-impl RackConfig {
-    /// A rack config with the default watchdog parameters (K = 3, first
-    /// hold 2 ticks, backoff ceiling 32 — matching the per-chip guard
-    /// rails).
-    #[must_use]
-    pub fn new(budget: Watts) -> Self {
-        Self {
-            budget,
-            watchdog_k: 3,
-            clamp_hold: 2,
-            max_backoff: 32,
-        }
-    }
-}
+/// Consecutive estimated rack-violation ticks tolerated before the
+/// watchdog clamps the whole rack to Eff2 (the per-chip guard rails' K).
+const WATCHDOG_K: usize = 3;
+
+/// How many ticks the first whole-rack watchdog clamp holds.
+const CLAMP_HOLD: u64 = 2;
+
+/// Ceiling on the exponential clamp-hold backoff.
+const MAX_BACKOFF: u64 = 32;
 
 /// Configuration for a [`FleetEngine`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Cross-tick decision cache settings (capacity, quanta, verify mode).
+    /// Cross-tick decision cache settings (capacity, verify mode).
     pub cache: CacheConfig,
     /// Bound on telemetry queued between ticks; submissions beyond it are
     /// rejected (backpressure). Must be at least 1.
@@ -164,13 +129,15 @@ pub struct FleetConfig {
     /// Fleet chaos plan; `None` (the default) disables the fault seam
     /// entirely.
     pub faults: Option<FleetFaultPlan>,
-    /// Degraded-mode fallback behaviour; `None` (the default) reproduces
-    /// the pre-hardening engine exactly — dropped reports yield no
-    /// decision.
-    pub degraded: Option<DegradedConfig>,
-    /// Rack-level budget enforcement; `None` (the default) disables
-    /// shedding and the rack watchdog.
-    pub rack: Option<RackConfig>,
+    /// Degraded-mode fallback: nodes whose reports failed get a one-mode
+    /// step-down of their last-good assignment, and rejected submitters
+    /// get exponential retry advice. Off (the default) reproduces the
+    /// pre-hardening engine exactly — dropped reports yield no decision.
+    pub degraded: bool,
+    /// Total rack power budget the per-tick estimate must fit under,
+    /// enforced by emergency shedding and the rack watchdog. `None` (the
+    /// default) disables both. Must be finite and positive.
+    pub rack_budget: Option<Watts>,
 }
 
 impl Default for FleetConfig {
@@ -185,8 +152,8 @@ impl Default for FleetConfig {
             dvfs: DvfsParams::paper(),
             explore: Micros::new(500.0),
             faults: None,
-            degraded: None,
-            rack: None,
+            degraded: false,
+            rack_budget: None,
         }
     }
 }
@@ -579,33 +546,8 @@ impl FleetEngine {
                 ),
             });
         }
-        if let Some(degraded) = &config.degraded {
-            if degraded.retry_base == 0 {
-                return Err(GpmError::InvalidConfig {
-                    parameter: "fleet.degraded.retry_base",
-                    reason: "retry backoff base must be at least one tick".into(),
-                });
-            }
-            if degraded.retry_max_exp >= 32 {
-                return Err(GpmError::InvalidConfig {
-                    parameter: "fleet.degraded.retry_max_exp",
-                    reason: "retry backoff exponent cap must be below 32".into(),
-                });
-            }
-        }
-        if let Some(rack) = &config.rack {
-            if !(rack.budget.value().is_finite() && rack.budget.value() > 0.0) {
-                return Err(GpmError::InvalidConfig {
-                    parameter: "fleet.rack.budget",
-                    reason: "rack budget must be finite and positive".into(),
-                });
-            }
-            if rack.watchdog_k == 0 || rack.clamp_hold == 0 {
-                return Err(GpmError::InvalidConfig {
-                    parameter: "fleet.rack.watchdog",
-                    reason: "watchdog K and clamp hold must be at least 1".into(),
-                });
-            }
+        if let Some(budget) = config.rack_budget {
+            check_rack_budget(budget)?;
         }
         // Validates cluster_cores (and pre-flights the wide-node path).
         HierMaxBips::with_cluster_cores(config.cluster_cores)?;
@@ -615,7 +557,7 @@ impl FleetEngine {
             None => None,
         };
         let rack_state = RackState {
-            backoff: config.rack.as_ref().map_or(0, |r| r.clamp_hold),
+            backoff: config.rack_budget.map_or(0, |_| CLAMP_HOLD),
             ..RackState::default()
         };
         Ok(Self {
@@ -666,30 +608,26 @@ impl FleetEngine {
     }
 
     /// Replaces the rack budget (or disables rack enforcement with
-    /// `None`) mid-run — the emergency-shedding trigger. Watchdog
-    /// parameters are retained from the existing rack config when only
-    /// the budget steps; enabling rack enforcement for the first time
-    /// uses [`RackConfig::new`] defaults.
-    pub fn set_rack_budget(&mut self, budget: Option<Watts>) {
+    /// `None`) mid-run — the emergency-shedding trigger. When only the
+    /// budget steps, the watchdog keeps its streak and backoff.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpmError::InvalidConfig`] for a budget that is not finite
+    /// and positive, as [`new`](Self::new) does, and leaves the engine
+    /// unchanged.
+    pub fn set_rack_budget(&mut self, budget: Option<Watts>) -> Result<()> {
         match budget {
             Some(b) => {
-                let rack = match self.config.rack.take() {
-                    Some(mut rack) => {
-                        rack.budget = b;
-                        rack
-                    }
-                    None => RackConfig::new(b),
-                };
+                check_rack_budget(b)?;
                 if self.rack_state.backoff == 0 {
-                    self.rack_state.backoff = rack.clamp_hold;
+                    self.rack_state.backoff = CLAMP_HOLD;
                 }
-                self.config.rack = Some(rack);
             }
-            None => {
-                self.config.rack = None;
-                self.rack_state = RackState::default();
-            }
+            None => self.rack_state = RackState::default(),
         }
+        self.config.rack_budget = budget;
+        Ok(())
     }
 
     /// Enqueues one report for the next [`run_tick`](Self::run_tick).
@@ -712,18 +650,17 @@ impl FleetEngine {
         }
         if self.queue.len() >= self.config.queue_capacity {
             self.stats.rejected_backpressure += 1;
-            let retry_at = match &self.config.degraded {
-                Some(degraded) => {
-                    let state = self.nodes.entry(telemetry.node).or_default();
-                    if state.rejections == 0 {
-                        self.backoff_nodes += 1;
-                    }
-                    let exp = state.rejections.min(degraded.retry_max_exp);
-                    state.rejections = state.rejections.saturating_add(1);
-                    state.retry_at = self.next_tick + (degraded.retry_base << exp);
-                    state.retry_at
+            let retry_at = if self.config.degraded {
+                let state = self.nodes.entry(telemetry.node).or_default();
+                if state.rejections == 0 {
+                    self.backoff_nodes += 1;
                 }
-                None => self.next_tick,
+                let exp = state.rejections.min(RETRY_MAX_EXP);
+                state.rejections = state.rejections.saturating_add(1);
+                state.retry_at = self.next_tick + (RETRY_BASE << exp);
+                state.retry_at
+            } else {
+                self.next_tick
             };
             return SubmitOutcome::Rejected { retry_at };
         }
@@ -762,8 +699,8 @@ impl FleetEngine {
         // The drained batch goes back as the next tick's queue (cleared),
         // so the queue's allocation is grown once, not every tick.
         let mut batch = std::mem::take(&mut self.queue);
-        let degraded_on = self.config.degraded.is_some();
-        let track_power = degraded_on || self.config.rack.is_some();
+        let degraded_on = self.config.degraded;
+        let track_power = degraded_on || self.config.rack_budget.is_some();
 
         // Phase A — serial intake: chaos seam, validation, freshness.
         // `Accept` entries index into `accepted`; fallback entries carry
@@ -830,7 +767,7 @@ impl FleetEngine {
         }
 
         // Phase B — within-tick dedup on (problem, budget): group by the
-        // canonical problem key and the quantized budget word, first
+        // canonical problem key and the budget's bit pattern, first
         // occurrence leads. Each report's key — budget-free wherever the
         // exact budget-interval rule applies — is written once into a
         // reusable buffer and probed by fingerprint; only a problem new to
@@ -849,7 +786,7 @@ impl FleetEngine {
         }
         struct Group {
             problem: usize,
-            /// The quantized budget word the members share.
+            /// The budget bit pattern the members share.
             budget_word: u64,
             /// Index into `accepted` of the first member.
             leader: usize,
@@ -873,8 +810,7 @@ impl FleetEngine {
                 dvfs: &self.config.dvfs,
                 explore: self.config.explore,
             };
-            self.cache
-                .write_key(scratch, &ctx, solved_exactly(&self.config, report));
+            DecisionCache::write_key(scratch, &ctx, solved_exactly(&self.config, report));
             let fingerprint = scratch.fingerprint();
             let mut p = self.dedup.get(&fingerprint).copied().unwrap_or(NONE);
             while p != NONE && problems[p].key.words() != scratch.words() {
@@ -889,8 +825,7 @@ impl FleetEngine {
                     next,
                 });
             }
-            let budget_word =
-                quantize_value(report.budget.value(), self.config.cache.budget_quantum);
+            let budget_word = report.budget.value().to_bits();
             let mut g = problems[p].groups;
             while g != NONE && groups[g].budget_word != budget_word {
                 g = groups[g].next;
@@ -920,12 +855,10 @@ impl FleetEngine {
         let mut avoided_this_tick: u64 = 0;
         let mut misses: Vec<usize> = Vec::new();
         // Power estimate per group, computed once from the leader's
-        // matrices: members of a dedup group share one quantization
-        // bucket, so at the exact default their matrices are bit-identical
-        // and the leader's estimate IS every member's estimate. (Coarse
-        // quanta make this the bucket representative's estimate, same as
-        // the served decision itself.) Keeps rack accounting O(groups),
-        // not O(nodes), per tick.
+        // matrices: members of a dedup group share one exact key, so their
+        // matrices are bit-identical and the leader's estimate IS every
+        // member's estimate. Keeps rack accounting O(groups), not
+        // O(nodes), per tick.
         let mut group_watts: Vec<f64> = vec![0.0; if track_power { groups.len() } else { 0 }];
         for (g, group) in groups.iter().enumerate() {
             let leader = &batch[accepted[group.leader]];
@@ -937,8 +870,8 @@ impl FleetEngine {
                     let fresh = solve_report(&self.config, leader);
                     assert_eq!(
                         combo, fresh,
-                        "fleet cache hit diverged from a fresh solve; \
-                         quantization is too coarse for this workload"
+                        "fleet cache hit diverged from a fresh solve \
+                         of the same report"
                     );
                 }
                 if track_power {
@@ -1044,8 +977,8 @@ impl FleetEngine {
 
         // Phase F — rack budget enforcement: emergency shedding in
         // deterministic priority order, plus the violation watchdog.
-        if self.config.rack.is_some() {
-            self.enforce_rack(&mut out, &mut estimates, &sources, &batch);
+        if let Some(budget) = self.config.rack_budget {
+            self.enforce_rack(budget.value(), &mut out, &mut estimates, &sources, &batch);
         }
 
         // Phase G — remember what was actually issued (post-shed) for
@@ -1080,7 +1013,7 @@ impl FleetEngine {
     }
 
     /// Builds a degraded-mode fallback decision for `node`: its last-good
-    /// assignment stepped down `clamp_steps` modes, or all-Eff2 when no
+    /// assignment stepped down one mode, or all-Eff2 when no
     /// last-good assignment exists and the failed report still shows the
     /// node's shape. Returns `None` when the node's width is unknowable
     /// (no history, no report) or degraded mode is off.
@@ -1089,9 +1022,11 @@ impl FleetEngine {
         node: u64,
         shape: Option<&NodeTelemetry>,
     ) -> Option<(ModeCombination, f64)> {
-        let degraded = self.config.degraded.as_ref()?;
+        if !self.config.degraded {
+            return None;
+        }
         if let Some(last_good) = self.nodes.get(&node).and_then(|s| s.last_good.as_ref()) {
-            let modes = step_down(&last_good.modes, degraded.clamp_steps);
+            let modes = step_down(&last_good.modes, FALLBACK_STEPS);
             let watts = last_good.watts * scale_ratio(&modes, &last_good.modes);
             return Some((modes, watts));
         }
@@ -1111,17 +1046,16 @@ impl FleetEngine {
         Some((modes, watts))
     }
 
-    /// Rack budget enforcement for one tick: watchdog clamp when active
-    /// or triggered, emergency shedding otherwise.
+    /// Enforcement of the rack `budget` (watts) for one tick: watchdog
+    /// clamp when active or triggered, emergency shedding otherwise.
     fn enforce_rack(
         &mut self,
+        budget: f64,
         out: &mut [NodeDecision],
         estimates: &mut [f64],
         sources: &[Option<usize>],
         batch: &[NodeTelemetry],
     ) {
-        let rack = self.config.rack.clone().expect("caller checked rack");
-        let budget = rack.budget.value();
         // All-Eff2 floor estimate for output position `j`: solver-backed
         // decisions re-estimate from the node's own matrices; fallback
         // decisions (no trusted matrices) rescale their watts figure by
@@ -1179,11 +1113,11 @@ impl FleetEngine {
             self.rack_state.violation_streak = 0;
         }
 
-        if self.rack_state.violation_streak >= rack.watchdog_k {
+        if self.rack_state.violation_streak >= WATCHDOG_K {
             // Trigger: clamp the whole rack now and hold with exponential
             // backoff, exactly like the per-chip watchdog.
             self.rack_state.clamp_remaining = self.rack_state.backoff;
-            self.rack_state.backoff = (self.rack_state.backoff * 2).min(rack.max_backoff);
+            self.rack_state.backoff = (self.rack_state.backoff * 2).min(MAX_BACKOFF);
             self.rack_state.violation_streak = 0;
             clamp_all(out, estimates);
             self.stats.watchdog_clamp_ticks += 1;
@@ -1293,6 +1227,21 @@ impl FleetEngine {
     }
 }
 
+/// Checks a rack budget: finite and positive.
+fn check_rack_budget(budget: Watts) -> Result<()> {
+    if budget.value().is_finite() && budget.value() > 0.0 {
+        Ok(())
+    } else {
+        Err(GpmError::InvalidConfig {
+            parameter: "fleet.rack.budget",
+            reason: format!(
+                "rack budget must be finite and positive, got {}",
+                budget.value()
+            ),
+        })
+    }
+}
+
 /// Whether a report is numerically sound: positive core count, matching
 /// mode-vector shape, finite non-negative matrix cells, finite positive
 /// budget.
@@ -1361,6 +1310,12 @@ fn scale_ratio(new: &ModeCombination, old: &ModeCombination) -> f64 {
 
 /// FNV-1a over the decision-relevant configuration, used to refuse
 /// restoring a checkpoint under a different configuration.
+///
+/// The stream keeps the layout of the engine's earlier, wider
+/// configuration, so checkpoints written before its fixed values became
+/// constants still restore: the three zero words stand where the cache's
+/// key quanta were (exact keying), and the degraded and rack constants
+/// stand where their settable fields were.
 fn config_fingerprint(config: &FleetConfig) -> u64 {
     fn eat_byte(hash: &mut u64, byte: u8) {
         *hash ^= u64::from(byte);
@@ -1373,9 +1328,9 @@ fn config_fingerprint(config: &FleetConfig) -> u64 {
     }
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     eat(&mut hash, config.cache.capacity as u64);
-    eat(&mut hash, config.cache.watt_quantum.to_bits());
-    eat(&mut hash, config.cache.bips_quantum.to_bits());
-    eat(&mut hash, config.cache.budget_quantum.to_bits());
+    for _ in 0..3 {
+        eat(&mut hash, 0);
+    }
     eat(&mut hash, u64::from(config.cache.verify_hits));
     eat(&mut hash, config.queue_capacity as u64);
     eat(&mut hash, config.stale_tolerance as u64);
@@ -1396,20 +1351,19 @@ fn config_fingerprint(config: &FleetConfig) -> u64 {
         }
         None => eat(&mut hash, u64::MAX),
     }
-    match &config.degraded {
-        Some(d) => {
-            eat(&mut hash, d.clamp_steps as u64);
-            eat(&mut hash, d.retry_base);
-            eat(&mut hash, u64::from(d.retry_max_exp));
-        }
-        None => eat(&mut hash, u64::MAX - 1),
+    if config.degraded {
+        eat(&mut hash, FALLBACK_STEPS as u64);
+        eat(&mut hash, RETRY_BASE);
+        eat(&mut hash, u64::from(RETRY_MAX_EXP));
+    } else {
+        eat(&mut hash, u64::MAX - 1);
     }
-    match &config.rack {
-        Some(r) => {
-            eat(&mut hash, r.budget.value().to_bits());
-            eat(&mut hash, r.watchdog_k as u64);
-            eat(&mut hash, r.clamp_hold);
-            eat(&mut hash, r.max_backoff);
+    match config.rack_budget {
+        Some(budget) => {
+            eat(&mut hash, budget.value().to_bits());
+            eat(&mut hash, WATCHDOG_K as u64);
+            eat(&mut hash, CLAMP_HOLD);
+            eat(&mut hash, MAX_BACKOFF);
         }
         None => eat(&mut hash, u64::MAX - 2),
     }
@@ -1479,7 +1433,7 @@ mod tests {
 
     fn degraded_config() -> FleetConfig {
         FleetConfig {
-            degraded: Some(DegradedConfig::default()),
+            degraded: true,
             ..FleetConfig::default()
         }
     }
@@ -1513,18 +1467,7 @@ mod tests {
                 "dark_after <= stale_tolerance",
             ),
             (
-                Box::new(|c: &mut FleetConfig| {
-                    c.degraded = Some(DegradedConfig {
-                        retry_base: 0,
-                        ..DegradedConfig::default()
-                    });
-                }),
-                "retry base",
-            ),
-            (
-                Box::new(|c: &mut FleetConfig| {
-                    c.rack = Some(RackConfig::new(Watts::new(f64::NAN)));
-                }),
+                Box::new(|c: &mut FleetConfig| c.rack_budget = Some(Watts::new(f64::NAN))),
                 "rack budget",
             ),
         ] {
@@ -1908,7 +1851,7 @@ mod tests {
     fn rack_shedding_clamps_highest_power_first() {
         // Three 2-core nodes; phase 0 draws the most power.
         let mut engine = FleetEngine::new(FleetConfig {
-            rack: Some(RackConfig::new(Watts::new(1e9))),
+            rack_budget: Some(Watts::new(1e9)),
             ..FleetConfig::default()
         })
         .expect("valid config");
@@ -1946,7 +1889,7 @@ mod tests {
             .unwrap();
         let budget = full_power - 0.1;
         let mut engine = FleetEngine::new(FleetConfig {
-            rack: Some(RackConfig::new(Watts::new(budget))),
+            rack_budget: Some(Watts::new(budget)),
             ..FleetConfig::default()
         })
         .expect("valid config");
@@ -1973,15 +1916,10 @@ mod tests {
     #[test]
     fn rack_watchdog_clamps_whole_rack_after_k_violations() {
         // An absurdly small budget violates every tick even after full
-        // shedding-to-floor, so the watchdog must fire on tick K-1.
-        let rack = RackConfig {
-            budget: Watts::new(0.001),
-            watchdog_k: 3,
-            clamp_hold: 2,
-            max_backoff: 8,
-        };
+        // shedding-to-floor, so the watchdog (K = 3, first hold 2 ticks)
+        // must fire on tick K-1.
         let mut engine = FleetEngine::new(FleetConfig {
-            rack: Some(rack),
+            rack_budget: Some(Watts::new(0.001)),
             ..FleetConfig::default()
         })
         .expect("valid config");
@@ -2017,7 +1955,9 @@ mod tests {
         assert!(before.iter().all(|d| !d.degraded));
         assert_eq!(engine.stats().shed_clamps, 0);
         // The rack budget steps down mid-run: next tick must shed.
-        engine.set_rack_budget(Some(Watts::new(1.0)));
+        engine
+            .set_rack_budget(Some(Watts::new(1.0)))
+            .expect("a finite positive budget");
         for node in 0..2 {
             assert!(engine.submit(telemetry(node, 1, 2, node)));
         }
@@ -2030,6 +1970,53 @@ mod tests {
     }
 
     #[test]
+    fn set_rack_budget_refuses_what_new_refuses_and_changes_nothing() {
+        let rack = |watts: f64| FleetConfig {
+            rack_budget: Some(Watts::new(watts)),
+            ..FleetConfig::default()
+        };
+        let mut armed = FleetEngine::new(rack(100.0)).expect("valid config");
+        let mut plain = FleetEngine::new(FleetConfig::default()).expect("valid config");
+        for engine in [&mut armed, &mut plain] {
+            for node in 0..2 {
+                assert!(engine.submit(telemetry(node, 0, 2, node)));
+            }
+            engine.run_tick(0);
+        }
+        let (armed_before, plain_before) = (armed.checkpoint(), plain.checkpoint());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            assert!(
+                matches!(
+                    FleetEngine::new(rack(bad)),
+                    Err(GpmError::InvalidConfig {
+                        parameter: "fleet.rack.budget",
+                        ..
+                    })
+                ),
+                "new accepted rack budget {bad}"
+            );
+            for engine in [&mut armed, &mut plain] {
+                assert!(
+                    matches!(
+                        engine.set_rack_budget(Some(Watts::new(bad))),
+                        Err(GpmError::InvalidConfig {
+                            parameter: "fleet.rack.budget",
+                            ..
+                        })
+                    ),
+                    "set_rack_budget accepted {bad}"
+                );
+            }
+        }
+        // The fingerprint covers the rack budget: unchanged checkpoints
+        // mean the refused calls left budget and watchdog state alone.
+        assert_eq!(armed.checkpoint(), armed_before);
+        assert_eq!(plain.checkpoint(), plain_before);
+        assert_eq!(armed.config().rack_budget, Some(Watts::new(100.0)));
+        assert_eq!(plain.config().rack_budget, None);
+    }
+
+    #[test]
     fn fault_free_chaos_armed_engine_matches_disarmed() {
         // A plan whose only clause targets a node that never reports,
         // plus degraded mode and a generous rack budget: the full
@@ -2039,8 +2026,8 @@ mod tests {
             .expect("flap@999983:period=2 spec parses");
         let armed_config = FleetConfig {
             faults: Some(plan),
-            degraded: Some(DegradedConfig::default()),
-            rack: Some(RackConfig::new(Watts::new(1e12))),
+            degraded: true,
+            rack_budget: Some(Watts::new(1e12)),
             ..FleetConfig::default()
         };
         let mut armed = FleetEngine::new(armed_config).expect("valid config");
@@ -2067,8 +2054,8 @@ mod tests {
             .expect("flap@2:period=3,down=1,from=2,to=8;corrupt@5:rate=0.7 spec parses");
         let config = FleetConfig {
             faults: Some(plan),
-            degraded: Some(DegradedConfig::default()),
-            rack: Some(RackConfig::new(Watts::new(220.0))),
+            degraded: true,
+            rack_budget: Some(Watts::new(220.0)),
             ..FleetConfig::default()
         };
         let drive = |engine: &mut FleetEngine, tick: u64| -> Vec<NodeDecision> {

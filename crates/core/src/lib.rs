@@ -78,8 +78,8 @@ pub use curves::{
     evaluate_policy_point, sweep_policy, turbo_baseline, CurvePoint, PolicyCurve, DEFAULT_BUDGETS,
 };
 pub use fleet::{
-    node_shard, DegradedConfig, FleetCheckpoint, FleetConfig, FleetEngine, FleetStats,
-    NodeDecision, NodeIdHasher, NodeTelemetry, RackConfig, SubmitOutcome, FLEET_CHECKPOINT_VERSION,
+    node_shard, FleetCheckpoint, FleetConfig, FleetEngine, FleetStats, NodeDecision, NodeIdHasher,
+    NodeTelemetry, SubmitOutcome, FLEET_CHECKPOINT_VERSION,
 };
 pub use manager::{
     ExploreRecord, GlobalManager, GuardAction, GuardActionKind, GuardRails, RunOptions, RunResult,

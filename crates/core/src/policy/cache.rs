@@ -5,21 +5,19 @@
 //! interval, but phase behaviour makes most intervals repeats: the same
 //! (power, BIPS) prediction matrix recurs whenever a workload revisits a
 //! phase, often under a different budget. [`DecisionCache`] canonicalizes
-//! each decision problem into a [`QuantizedKey`] (every solver input,
-//! quantized per [`CacheConfig`]) and memoizes the solved
-//! [`ModeCombination`]s in a bounded LRU.
+//! each decision problem into a [`QuantizedKey`] (the bit pattern of every
+//! solver input) and memoizes the solved [`ModeCombination`]s in a
+//! bounded LRU.
 //!
 //! # Exactness
 //!
-//! With all quanta at the default `0.0`, keys are the raw bit patterns of
-//! the inputs, so a hit can only occur for inputs bit-identical to a
-//! previous solve, the budget aside (see *Budget intervals* below) — and
-//! the branch-and-bound solver is a pure function of those inputs, so the
-//! cached answer equals what a fresh solve would return, bit for bit.
-//! Misses always run the real solver. Positive quanta
-//! trade this exactness for hit rate (see `DESIGN.md` §13 for the error
-//! bound); [`CacheConfig::verify_hits`] re-solves every hit and asserts
-//! equality, as a debug mode for auditing a quantization choice.
+//! Keys are the raw bit patterns of the inputs, so a hit can only occur
+//! for inputs bit-identical to a previous solve, the budget aside (see
+//! *Budget intervals* below) — and the branch-and-bound solver is a pure
+//! function of those inputs, so the cached answer equals what a fresh
+//! solve would return, bit for bit. Misses always run the real solver.
+//! [`CacheConfig::verify_hits`] re-solves every hit and asserts equality,
+//! an audit of that argument for tests.
 //!
 //! # Budget intervals
 //!
@@ -40,14 +38,13 @@
 //! (with a NaN objective the scan's first strict maximum depends on which
 //! candidates remain). A key therefore keeps its budget word — and its one
 //! answer serves exactly that key — when the answer does not come from
-//! [`solver::solve`], when any quantum is positive, or when the budget,
-//! the explore interval or the worst transition stall is not finite or
-//! the explore interval is not positive. A budget-free problem whose
-//! matrix cells are not all finite and non-negative gets answers that hold
-//! only at the budget they were solved at; the cells are checked once,
-//! when the problem enters the cache, so a lookup never scans them. The
-//! two key shapes are `7n + 5` and `7n + 6` words long for `n` cores, so
-//! they never collide.
+//! [`solver::solve`], or when the budget, the explore interval or the
+//! worst transition stall is not finite or the explore interval is not
+//! positive. A budget-free problem whose matrix cells are not all finite
+//! and non-negative gets answers that hold only at the budget they were
+//! solved at; the cells are checked once, when the problem enters the
+//! cache, so a lookup never scans them. The two key shapes are `7n + 5`
+//! and `7n + 6` words long for `n` cores, so they never collide.
 //!
 //! # Determinism
 //!
@@ -79,22 +76,15 @@ const NIL: usize = usize::MAX;
 /// [`NodeIdHasher`] round; a match still compares every word.
 type ProblemMap = HashMap<u64, usize, BuildHasherDefault<NodeIdHasher>>;
 
-/// Tuning knobs for a [`DecisionCache`].
-///
-/// The defaults (capacity 4096, all quanta `0.0`, verification off) give
-/// exact keying: hits are guaranteed bit-identical to fresh solves.
+/// Settings for a [`DecisionCache`]: capacity 4096 and verification off
+/// by default. Keys are always exact, so hits are bit-identical to fresh
+/// solves.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Maximum number of memoized answers; the least-recently-used answer
     /// is evicted beyond this. Must be at least 1.
     pub capacity: usize,
-    /// Quantum (watts) for the power matrix cells and `0.0` = exact bits.
-    pub watt_quantum: f64,
-    /// Quantum (BIPS) for the BIPS matrix cells; `0.0` = exact bits.
-    pub bips_quantum: f64,
-    /// Quantum (watts) for the budget; `0.0` = exact bits.
-    pub budget_quantum: f64,
-    /// Debug mode: re-solve every hit and assert the cached combination
+    /// Audit mode: re-solve every hit and assert the cached combination
     /// matches. Costs a full solve per hit — for tests and audits only.
     pub verify_hits: bool,
 }
@@ -103,9 +93,6 @@ impl Default for CacheConfig {
     fn default() -> Self {
         Self {
             capacity: 4096,
-            watt_quantum: 0.0,
-            bips_quantum: 0.0,
-            budget_quantum: 0.0,
             verify_hits: false,
         }
     }
@@ -203,8 +190,8 @@ struct Slot {
 }
 
 /// A bounded LRU memo of solved mode-assignment problems, keyed on the
-/// quantized canonical form of every solver input; under exact keying one
-/// key serves every budget its answers cover.
+/// canonical form of every solver input; one budget-free key serves every
+/// budget its answers cover.
 ///
 /// # Examples
 ///
@@ -310,10 +297,10 @@ impl DecisionCache {
     }
 
     /// Canonicalizes one decision problem, answered by [`solver::solve`],
-    /// into its cache key: shape, the full quantized power and BIPS
-    /// matrices, the current mode vector, the quantized budget unless the
-    /// budget-interval rule applies (see the module docs), the explore
-    /// length and the DVFS fingerprint.
+    /// into its cache key: shape, the full power and BIPS matrices, the
+    /// current mode vector, the budget unless the budget-interval rule
+    /// applies (see the module docs), the explore length and the DVFS
+    /// fingerprint.
     #[must_use]
     pub fn key(
         &self,
@@ -332,7 +319,7 @@ impl DecisionCache {
             dvfs,
             explore,
         };
-        self.write_key(&mut b, &ctx, true);
+        Self::write_key(&mut b, &ctx, true);
         b.finish()
     }
 
@@ -340,15 +327,11 @@ impl DecisionCache {
     /// the problem's canonical words, reading the matrix rows directly.
     /// `exact` says whether the answer will come from [`solver::solve`];
     /// only then may the key leave the budget out.
-    pub fn write_key(&self, b: &mut QuantizedKeyBuilder, ctx: &PolicyContext<'_>, exact: bool) {
-        let config = &self.config;
+    pub fn write_key(b: &mut QuantizedKeyBuilder, ctx: &PolicyContext<'_>, exact: bool) {
         // The largest transition stall is Turbo ↔ Eff2's; if it is finite,
         // so is every other. The cells are checked once per problem, when
         // it enters the cache (`add_problem`), not on every lookup.
         let budget_free = exact
-            && config.watt_quantum <= 0.0
-            && config.bips_quantum <= 0.0
-            && config.budget_quantum <= 0.0
             && ctx.budget.value().is_finite()
             && ctx.explore.value().is_finite()
             && ctx.explore.value() > 0.0
@@ -361,14 +344,14 @@ impl DecisionCache {
         b.clear();
         b.push_word(matrices.cores() as u64);
         for (power, bips) in matrices.power_rows().iter().zip(matrices.bips_rows()) {
-            b.push_values(power, config.watt_quantum);
-            b.push_values(bips, config.bips_quantum);
+            b.push_values(power);
+            b.push_values(bips);
         }
         for &mode in ctx.current_modes.as_slice() {
             b.push_word(mode.index() as u64);
         }
         if !budget_free {
-            b.push_value(ctx.budget.value(), config.budget_quantum);
+            b.push_value(ctx.budget.value());
         }
         b.push_word(ctx.explore.value().to_bits());
         b.push_word(ctx.dvfs.nominal_vdd.value().to_bits());
@@ -422,7 +405,7 @@ impl DecisionCache {
             dvfs,
             explore,
         };
-        self.write_key(&mut scratch, &ctx, true);
+        Self::write_key(&mut scratch, &ctx, true);
         let problem = self.find(scratch.fingerprint(), scratch.words());
         if let Some(slot) = problem.and_then(|p| self.answer(p, budget)) {
             self.scratch = scratch;
@@ -433,8 +416,8 @@ impl DecisionCache {
                 let fresh = solver::solve(matrices, current, budget, dvfs, explore);
                 assert_eq!(
                     combo, fresh,
-                    "decision cache hit diverged from a fresh solve; \
-                     quantization is too coarse for this workload"
+                    "decision cache hit diverged from a fresh solve \
+                     of the same inputs"
                 );
             }
             return combo;
@@ -744,7 +727,7 @@ impl DecisionCache {
 }
 
 /// [`MaxBips`](crate::MaxBips) behind a [`DecisionCache`]: identical
-/// decisions (exact keying by default), amortized cost on phase repeats.
+/// decisions, amortized cost on phase repeats.
 ///
 /// # Examples
 ///
@@ -761,7 +744,7 @@ pub struct CachedMaxBips {
 }
 
 impl CachedMaxBips {
-    /// The policy with the default (exact-keying) cache configuration.
+    /// The policy with the default cache configuration.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -1028,83 +1011,35 @@ mod tests {
     #[test]
     fn keys_keep_the_budget_word_where_the_interval_rule_is_not_exact() {
         let f = Fixture::new(&[(20.0, 2.0), (15.0, 1.5)]);
-        let exact = DecisionCache::new(CacheConfig::default()).expect("valid config");
-        let len = |cache: &DecisionCache,
-                   m: &PowerBipsMatrices,
-                   budget: f64,
-                   dvfs: &DvfsParams,
-                   explore: f64,
-                   solver_exact: bool| {
+        let len = |budget: f64, dvfs: &DvfsParams, explore: f64, solver_exact: bool| {
             let mut b = QuantizedKeyBuilder::default();
             let ctx = PolicyContext {
                 current_modes: &f.current,
-                matrices: m,
+                matrices: &f.matrices,
                 future: None,
                 budget: Watts::new(budget),
                 dvfs,
                 explore: Micros::new(explore),
             };
-            cache.write_key(&mut b, &ctx, solver_exact);
+            DecisionCache::write_key(&mut b, &ctx, solver_exact);
             b.words().len()
         };
         let (budget_free, budget_keyed) = (7 * 2 + 5, 7 * 2 + 6);
         let dvfs = &f.dvfs;
-        assert_eq!(
-            len(&exact, &f.matrices, 30.0, dvfs, 500.0, true),
-            budget_free
-        );
+        assert_eq!(len(30.0, dvfs, 500.0, true), budget_free);
         // Not the exact solver (the fleet's hierarchical path).
-        assert_eq!(
-            len(&exact, &f.matrices, 30.0, dvfs, 500.0, false),
-            budget_keyed
-        );
+        assert_eq!(len(30.0, dvfs, 500.0, false), budget_keyed);
         // Non-finite budget or explore, non-positive explore.
-        assert_eq!(
-            len(&exact, &f.matrices, f64::NAN, dvfs, 500.0, true),
-            budget_keyed
-        );
-        assert_eq!(
-            len(&exact, &f.matrices, f64::INFINITY, dvfs, 500.0, true),
-            budget_keyed
-        );
-        assert_eq!(
-            len(&exact, &f.matrices, 30.0, dvfs, 0.0, true),
-            budget_keyed
-        );
-        assert_eq!(
-            len(&exact, &f.matrices, 30.0, dvfs, f64::INFINITY, true),
-            budget_keyed
-        );
+        assert_eq!(len(f64::NAN, dvfs, 500.0, true), budget_keyed);
+        assert_eq!(len(f64::INFINITY, dvfs, 500.0, true), budget_keyed);
+        assert_eq!(len(30.0, dvfs, 0.0, true), budget_keyed);
+        assert_eq!(len(30.0, dvfs, f64::INFINITY, true), budget_keyed);
         // A stalled regulator: infinite transition times.
         let stuck = DvfsParams {
             slew_rate_v_per_us: 0.0,
             ..DvfsParams::paper()
         };
-        assert_eq!(
-            len(&exact, &f.matrices, 30.0, &stuck, 500.0, true),
-            budget_keyed
-        );
-        // Any positive quantum.
-        for config in [
-            CacheConfig {
-                watt_quantum: 0.1,
-                ..CacheConfig::default()
-            },
-            CacheConfig {
-                bips_quantum: 0.1,
-                ..CacheConfig::default()
-            },
-            CacheConfig {
-                budget_quantum: 0.1,
-                ..CacheConfig::default()
-            },
-        ] {
-            let cache = DecisionCache::new(config).expect("valid config");
-            assert_eq!(
-                len(&cache, &f.matrices, 30.0, dvfs, 500.0, true),
-                budget_keyed
-            );
-        }
+        assert_eq!(len(30.0, &stuck, 500.0, true), budget_keyed);
     }
 
     #[test]
@@ -1148,12 +1083,12 @@ mod tests {
     fn a_budget_keyed_answer_serves_only_its_own_key() {
         let f = Fixture::new(&[(20.0, 2.0), (15.0, 1.5)]);
         let mut cache = DecisionCache::new(CacheConfig::default()).expect("valid config");
-        let key_at = |cache: &DecisionCache, budget: f64| {
+        let key_at = |budget: f64| {
             let mut b = QuantizedKeyBuilder::default();
-            cache.write_key(&mut b, &f.ctx(budget), false);
+            DecisionCache::write_key(&mut b, &f.ctx(budget), false);
             b.finish()
         };
-        let (k30, k33) = (key_at(&cache, 30.0), key_at(&cache, 33.0));
+        let (k30, k33) = (key_at(30.0), key_at(33.0));
         assert_ne!(k30, k33);
         let eff2 = ModeCombination::uniform(2, PowerMode::Eff2);
         cache.insert(&k30, &f.matrices, Watts::new(30.0), eff2.clone());
@@ -1198,40 +1133,6 @@ mod tests {
             DecisionCache::restore(CacheConfig::default(), &broken),
             Err(GpmError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn coarse_quanta_merge_near_identical_matrices() {
-        // Cells sit mid-bucket (multiples of the quantum), so the ±0.004
-        // perturbations below stay inside the same buckets per cell.
-        let base = |eps: f64| {
-            PowerBipsMatrices::from_rows(
-                vec![[20.0 + eps, 12.0 + eps, 7.0 + eps], [18.0, 11.0, 6.5]],
-                vec![[2.0 + eps, 1.7, 1.4], [1.5, 1.3 + eps, 1.1]],
-            )
-        };
-        let (m1, m2) = (base(0.0), base(0.004));
-        let current = ModeCombination::uniform(2, PowerMode::Turbo);
-        let dvfs = gpm_power::DvfsParams::paper();
-        let mut cache = DecisionCache::new(CacheConfig {
-            watt_quantum: 0.1,
-            bips_quantum: 0.05,
-            budget_quantum: 0.5,
-            ..CacheConfig::default()
-        })
-        .expect("valid config");
-        let k1 = cache.key(&m1, &current, Watts::new(30.0), &dvfs, Micros::new(500.0));
-        let k2 = cache.key(&m2, &current, Watts::new(30.1), &dvfs, Micros::new(500.0));
-        assert_eq!(k1, k2);
-        cache.solve(&m1, &current, Watts::new(30.0), &dvfs, Micros::new(500.0));
-        cache.solve(&m2, &current, Watts::new(30.1), &dvfs, Micros::new(500.0));
-        assert_eq!(cache.counters().cache_hits, 1);
-        // Exact keying keeps them distinct.
-        let exact = DecisionCache::new(CacheConfig::default()).expect("valid config");
-        assert_ne!(
-            exact.key(&m1, &current, Watts::new(30.0), &dvfs, Micros::new(500.0)),
-            exact.key(&m2, &current, Watts::new(30.1), &dvfs, Micros::new(500.0))
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use gpm_core::fleet_load::PhaseTables;
-use gpm_core::{DegradedConfig, FleetConfig, FleetEngine, FleetStats, RackConfig};
+use gpm_core::{FleetConfig, FleetEngine, FleetStats};
 use gpm_faults::{FleetFaultKind, FleetFaultPlan, IntervalWindow, NodeSet};
 use gpm_types::{GpmError, Result, Watts};
 use serde::Serialize;
@@ -118,8 +118,8 @@ fn run_inner(nodes: usize, ticks: usize, armed: bool) -> Result<FleetLoad> {
             NodeSet::Nodes(vec![u64::MAX]),
             IntervalWindow::ALWAYS,
         ));
-        config.degraded = Some(DegradedConfig::default());
-        config.rack = Some(RackConfig::new(Watts::new(1.0e12)));
+        config.degraded = true;
+        config.rack_budget = Some(Watts::new(1.0e12));
     }
     let mut engine = FleetEngine::new(config)?;
 

@@ -24,7 +24,7 @@
 //! back up, exercising emergency shedding and the rack watchdog the same
 //! way a cooling failure would.
 
-use gpm_core::{DegradedConfig, FleetConfig, FleetEngine, FleetStats, RackConfig};
+use gpm_core::{FleetConfig, FleetEngine, FleetStats};
 use gpm_faults::{FleetFaultPlan, FleetFaultSession};
 use gpm_types::{GpmError, Result, Watts};
 
@@ -129,8 +129,8 @@ fn run_class(
     let mut engine = FleetEngine::new(FleetConfig {
         queue_capacity: nodes,
         faults: plan,
-        degraded: Some(DegradedConfig::default()),
-        rack: Some(RackConfig::new(Watts::new(rack_budget))),
+        degraded: true,
+        rack_budget: Some(Watts::new(rack_budget)),
         ..FleetConfig::default()
     })?;
     let mut prev = engine.stats();
@@ -138,9 +138,9 @@ fn run_class(
     for tick in 0..ticks as u64 {
         if let Some((step, restore, stepped)) = budget_step {
             if tick == step {
-                engine.set_rack_budget(Some(Watts::new(stepped)));
+                engine.set_rack_budget(Some(Watts::new(stepped)))?;
             } else if tick == restore {
-                engine.set_rack_budget(Some(Watts::new(rack_budget)));
+                engine.set_rack_budget(Some(Watts::new(rack_budget)))?;
             }
         }
         for node in 0..nodes as u64 {

@@ -35,7 +35,7 @@ use gpm_core::{
     node_shard, FleetCheckpoint, FleetConfig, FleetEngine, FleetStats, NodeDecision, NodeTelemetry,
     SubmitOutcome,
 };
-use gpm_types::{Result, Watts};
+use gpm_types::Result;
 
 /// K [`FleetEngine`]s partitioned by [`node_shard`]. Each engine sits in
 /// its own `Mutex` only so a tick can hand the engines to pool workers;
@@ -55,27 +55,17 @@ fn engine(cell: &mut Mutex<FleetEngine>) -> &mut FleetEngine {
 }
 
 impl ShardedEngine {
-    /// Builds one engine per config, in shard order.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a zero shard count and propagates engine-config errors.
-    pub fn new(configs: Vec<FleetConfig>) -> Result<Self> {
-        Self::from_engines(
-            configs
-                .into_iter()
-                .map(FleetEngine::new)
-                .collect::<Result<Vec<_>>>()?,
-        )
-    }
-
-    /// [`ShardedEngine::new`] with the same config cloned to every shard.
+    /// Builds `shards` engines, each with its own copy of `config`.
     ///
     /// # Errors
     ///
     /// Rejects a zero shard count and propagates engine-config errors.
     pub fn homogeneous(config: &FleetConfig, shards: usize) -> Result<Self> {
-        Self::new(vec![config.clone(); shards])
+        Self::from_engines(
+            (0..shards)
+                .map(|_| FleetEngine::new(config.clone()))
+                .collect::<Result<Vec<_>>>()?,
+        )
     }
 
     /// Restores every shard from its checkpoint (one per shard, in shard
@@ -171,14 +161,5 @@ impl ShardedEngine {
             .iter_mut()
             .map(|cell| engine(cell).checkpoint())
             .collect()
-    }
-
-    /// Re-arms every shard's rack budget (each shard gets the given
-    /// budget as-is; the server divides a whole-rack budget by the shard
-    /// count before calling this).
-    pub fn set_rack_budget(&mut self, budget: Option<Watts>) {
-        for cell in &mut self.engines {
-            engine(cell).set_rack_budget(budget);
-        }
     }
 }

@@ -1,20 +1,13 @@
-//! Quantized canonical keys for memoizing mode decisions.
+//! Canonical keys for memoizing mode decisions.
 //!
 //! The fleet-mode decision cache (`gpm-core`) keys each solved interval on
 //! the exact inputs of the MaxBIPS argmax: the per-core Power/BIPS
 //! prediction matrix, the current mode vector, the budget and the interval
-//! parameters. Every float input is mapped to one `u64` *cell* by
-//! [`quantize_value`]:
-//!
-//! * **quantum ≤ 0 (exact keying)** — the cell is the raw IEEE-754 bit
-//!   pattern. Two inputs share a key only when they are bit-identical, so
-//!   a cache hit returns exactly what a fresh solve of the same inputs
-//!   would have returned: the solver is a pure function of its arguments.
-//! * **quantum > 0 (bucketed keying)** — the cell is the index of the
-//!   nearest quantum multiple (`round(value / quantum)`). Matrices within
-//!   half a quantum of each other per cell collapse onto one key, trading
-//!   exactness for hit rate; the decision error is bounded by the solver's
-//!   sensitivity to a half-quantum perturbation of each cell.
+//! parameters. Every float input becomes one `u64` cell, its raw IEEE-754
+//! bit pattern, so two inputs share a key only when they are
+//! bit-identical, and a cache hit returns exactly what a fresh solve of
+//! the same inputs would have returned: the solver is a pure function of
+//! its arguments.
 //!
 //! The key itself ([`QuantizedKey`]) is the canonical word sequence —
 //! cells in a fixed row-major order, prefixed with the shape — plus a
@@ -23,36 +16,6 @@
 //! so a fingerprint collision costs one extra comparison, never a false
 //! match. [`QuantizedKeyBuilder`] keeps construction allocation-free (its
 //! buffer is reusable) and the canonical order explicit at the call site.
-
-/// Maps one float to its canonical key cell. Exact bit pattern when
-/// `quantum <= 0`, nearest-multiple bucket index otherwise.
-///
-/// The bucketed path is deterministic for every input: the `f64 → i64`
-/// cast saturates, so `±∞` pin to the extreme buckets and NaN lands on
-/// bucket zero (degenerate matrices never promise cache exactness — the
-/// solver itself falls back to the exhaustive scan on them).
-///
-/// # Examples
-///
-/// ```
-/// use gpm_types::quantize_value;
-///
-/// // Exact keying: distinct bit patterns stay distinct (even -0.0 vs 0.0).
-/// assert_eq!(quantize_value(1.5, 0.0), 1.5f64.to_bits());
-/// assert_ne!(quantize_value(0.0, 0.0), quantize_value(-0.0, 0.0));
-///
-/// // Bucketed keying: values within half a quantum collapse.
-/// assert_eq!(quantize_value(10.01, 0.1), quantize_value(9.98, 0.1));
-/// assert_ne!(quantize_value(10.01, 0.1), quantize_value(10.07, 0.1));
-/// ```
-#[must_use]
-pub fn quantize_value(value: f64, quantum: f64) -> u64 {
-    if quantum <= 0.0 {
-        value.to_bits()
-    } else {
-        ((value / quantum).round() as i64) as u64
-    }
-}
 
 /// Multiplier of the fingerprint's word mix (the 64-bit golden ratio).
 const MIX_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -87,11 +50,11 @@ fn fingerprint_of(words: &[u64]) -> u64 {
     crate::splitmix64(folded)
 }
 
-/// A canonicalized, hashable decision-cache key: the quantized cells of
-/// one decision problem in a fixed order, plus their fingerprint.
+/// A canonicalized, hashable decision-cache key: the cells of one
+/// decision problem in a fixed order, plus their fingerprint.
 ///
 /// Two keys are equal iff they were built from the same shape and the
-/// same quantized cells in the same order: equality compares the
+/// same cells in the same order: equality compares the
 /// fingerprints first and then every word. [`Hash`] feeds only the
 /// fingerprint, so hashing a key costs one `write_u64` whatever its
 /// length. The key serializes as `{"words":[...]}` alone; deserializing
@@ -110,7 +73,7 @@ impl QuantizedKey {
         }
     }
 
-    /// The canonical word sequence (shape prefix plus quantized cells).
+    /// The canonical word sequence (shape prefix plus cells).
     #[must_use]
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -172,7 +135,7 @@ impl serde::Deserialize for QuantizedKey {
 ///
 /// let mut builder = QuantizedKeyBuilder::with_capacity(3);
 /// builder.push_word(2); // shape prefix: core count
-/// builder.push_values(&[17.15, 1.9], 0.0);
+/// builder.push_values(&[17.15, 1.9]);
 /// let key = builder.to_key();
 /// assert_eq!(key.words().len(), 3);
 /// assert_eq!(key, builder.finish());
@@ -201,15 +164,15 @@ impl QuantizedKeyBuilder {
         self.words.push(word);
     }
 
-    /// Appends one float cell quantized by [`quantize_value`].
-    pub fn push_value(&mut self, value: f64, quantum: f64) {
-        self.words.push(quantize_value(value, quantum));
+    /// Appends one float cell: its bit pattern.
+    pub fn push_value(&mut self, value: f64) {
+        self.words.push(value.to_bits());
     }
 
-    /// Appends a run of float cells, each quantized by [`quantize_value`].
-    pub fn push_values(&mut self, values: &[f64], quantum: f64) {
+    /// Appends a run of float cells, each as its bit pattern.
+    pub fn push_values(&mut self, values: &[f64]) {
         self.words
-            .extend(values.iter().map(|&value| quantize_value(value, quantum)));
+            .extend(values.iter().map(|value| value.to_bits()));
     }
 
     /// The words pushed so far.
@@ -242,61 +205,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_keying_is_the_bit_pattern() {
-        for v in [0.0, -0.0, 1.5, -3.25, f64::MAX, f64::MIN_POSITIVE] {
-            assert_eq!(quantize_value(v, 0.0), v.to_bits());
-            assert_eq!(quantize_value(v, -1.0), v.to_bits());
-        }
-    }
-
-    #[test]
-    fn bucketed_keying_merges_within_half_quantum() {
-        assert_eq!(quantize_value(9.96, 0.1), quantize_value(10.04, 0.1));
-        assert_ne!(quantize_value(9.94, 0.1), quantize_value(10.04, 0.1));
-        // Negative values bucket symmetrically.
-        assert_eq!(quantize_value(-9.96, 0.1), quantize_value(-10.04, 0.1));
-        assert_ne!(quantize_value(-10.0, 0.1), quantize_value(10.0, 0.1));
-    }
-
-    #[test]
-    fn bucketed_keying_is_total_on_degenerate_inputs() {
-        // Saturating casts: the non-finite inputs map deterministically.
-        assert_eq!(quantize_value(f64::INFINITY, 0.5), i64::MAX as u64);
-        assert_eq!(quantize_value(f64::NEG_INFINITY, 0.5), i64::MIN as u64);
-        assert_eq!(quantize_value(f64::NAN, 0.5), 0);
-    }
-
-    #[test]
     fn keys_compare_by_word_sequence() {
-        let build = |cells: &[f64], quantum: f64| {
+        let build = |cells: &[f64]| {
             let mut b = QuantizedKeyBuilder::with_capacity(cells.len() + 1);
             b.push_word(cells.len() as u64);
             for &c in cells {
-                b.push_value(c, quantum);
+                b.push_value(c);
             }
             b.finish()
         };
-        assert_eq!(build(&[1.0, 2.0], 0.0), build(&[1.0, 2.0], 0.0));
-        assert_ne!(build(&[1.0, 2.0], 0.0), build(&[2.0, 1.0], 0.0));
+        assert_eq!(build(&[1.0, 2.0]), build(&[1.0, 2.0]));
+        assert_ne!(build(&[1.0, 2.0]), build(&[2.0, 1.0]));
         // Shape prefix keeps a 2-cell key distinct from a 3-cell key that
         // happens to share a word prefix.
         assert_ne!(
-            build(&[1.0, 2.0], 0.0).words().first(),
-            build(&[1.0, 2.0, 3.0], 0.0).words().first()
+            build(&[1.0, 2.0]).words().first(),
+            build(&[1.0, 2.0, 3.0]).words().first()
         );
-        // Bucketing makes near-identical cell lists collide on purpose.
-        assert_eq!(build(&[10.01, 0.499], 0.05), build(&[9.99, 0.501], 0.05));
+        // Cells are their bit patterns: -0.0 and 0.0 stay distinct, and
+        // near-identical values never merge.
+        assert_eq!(build(&[1.5]).words()[1], 1.5f64.to_bits());
+        assert_ne!(build(&[0.0]), build(&[-0.0]));
+        assert_ne!(build(&[10.0]), build(&[10.0 + f64::EPSILON * 16.0]));
     }
 
     #[test]
     fn fingerprint_is_a_pure_function_of_the_words() {
         let mut builder = QuantizedKeyBuilder::default();
-        builder.push_values(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.0);
+        builder.push_values(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         let key = builder.to_key();
         assert_eq!(key.fingerprint, fingerprint_of(key.words()));
         assert_eq!(builder.fingerprint(), key.fingerprint);
         builder.clear();
-        builder.push_values(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.0);
+        builder.push_values(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(builder.finish(), key);
         // Position, length and value all move the fingerprint.
         let fp = |words: &[u64]| fingerprint_of(words);
@@ -324,7 +265,7 @@ mod tests {
     fn serializes_as_words_and_recomputes_the_fingerprint() {
         let mut builder = QuantizedKeyBuilder::default();
         builder.push_word(3);
-        builder.push_values(&[0.5, 1.5], 0.0);
+        builder.push_values(&[0.5, 1.5]);
         let key = builder.finish();
         let value = serde::Serialize::to_value(&key);
         let serde::json::Value::Object(fields) = &value else {

@@ -95,13 +95,15 @@ GPM_THREADS=8 cargo test --quiet --test serve_equivalence --test alloc_budget
 # pool and TCP under a saturated pool — at one shard and at two. `--once`
 # exits the server after the client disconnects; the retry loop absorbs
 # bind latency. The loadgen's JSON report must account for every measured
-# report: nodes x ticks decisions streamed and none rejected.
+# report: nodes x ticks decisions streamed and none rejected. Arguments
+# after the fourth are passed to the server as they are.
 serve_smoke() {
     local threads="$1" shards="$2" listen="$3" connect="$4"
+    shift 4
     local nodes=64 ticks=4 report
-    echo "==> GPM_THREADS=$threads gpm serve --listen $listen --shards $shards + loadgen smoke"
+    echo "==> GPM_THREADS=$threads gpm serve --listen $listen --shards $shards${*:+ $*} + loadgen smoke"
     GPM_THREADS="$threads" cargo run --release --quiet -p gpm-cli -- \
-        serve --listen "$listen" --shards "$shards" --once > /dev/null &
+        serve --listen "$listen" --shards "$shards" --once "$@" > /dev/null &
     local server_pid=$!
     local attempt
     for attempt in $(seq 1 50); do
@@ -133,6 +135,12 @@ serve_smoke 1 2 "unix:$GPM_SERVE_SOCK" "unix:$GPM_SERVE_SOCK"
 rm -f "$GPM_SERVE_SOCK"
 serve_smoke 8 1 "tcp:127.0.0.1:47391" "tcp:127.0.0.1:47391"
 serve_smoke 8 2 "tcp:127.0.0.1:47392" "tcp:127.0.0.1:47392"
+# The same at two shards with the fallback machinery armed: solver
+# timeouts switch degraded mode on, and the rack budget is split per
+# shard. A timed-out report still gets a (fallback) decision, so the
+# accounting check is unchanged.
+serve_smoke 2 2 "tcp:127.0.0.1:47393" "tcp:127.0.0.1:47393" \
+    --faults 'timeout:rate=0.3' --fault-seed 7 --rack-budget 1e9
 
 # 16-way wide-CMP smoke: the scaling tier must keep running end to end
 # from the CLI (exact MaxBIPS vs greedy on a 3^16 search space).

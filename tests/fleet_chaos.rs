@@ -21,8 +21,8 @@
 use std::sync::Mutex;
 
 use gpm::core::{
-    DegradedConfig, FleetCheckpoint, FleetConfig, FleetEngine, FleetStats, NodeDecision,
-    NodeTelemetry, PowerBipsMatrices, RackConfig,
+    FleetCheckpoint, FleetConfig, FleetEngine, FleetStats, NodeDecision, NodeTelemetry,
+    PowerBipsMatrices,
 };
 use gpm::faults::{CorruptField, FleetFaultKind, FleetFaultPlan, IntervalWindow, NodeSet};
 use gpm::types::{GpmError, ModeCombination, PowerMode, Watts};
@@ -150,8 +150,8 @@ fn fault_free_armed_engine_is_bit_identical_to_plain_across_widths() {
         let armed_config = FleetConfig {
             flat_core_limit,
             faults: Some(plan.clone()),
-            degraded: Some(DegradedConfig::default()),
-            rack: Some(RackConfig::new(Watts::new(1e12))),
+            degraded: true,
+            rack_budget: Some(Watts::new(1e12)),
             ..FleetConfig::default()
         };
         let plain_config = FleetConfig {
@@ -247,7 +247,7 @@ proptest! {
         }
         let config = FleetConfig {
             faults: Some(plan),
-            degraded: Some(DegradedConfig::default()),
+            degraded: true,
             ..FleetConfig::default()
         };
         // Recovery bound: every key a fault could have kept out of the
@@ -299,8 +299,8 @@ fn checkpoint_restore_is_bit_identical_across_widths() {
     .expect("spec parses");
     let config = FleetConfig {
         faults: Some(plan),
-        degraded: Some(DegradedConfig::default()),
-        rack: Some(RackConfig::new(Watts::new(900.0))),
+        degraded: true,
+        rack_budget: Some(Watts::new(900.0)),
         ..FleetConfig::default()
     };
 
@@ -358,8 +358,8 @@ fn restore_refuses_foreign_configurations() {
         |c: &mut FleetConfig| c.stale_tolerance = 4,
         |c: &mut FleetConfig| c.dark_after = 20,
         |c: &mut FleetConfig| c.flat_core_limit = 2,
-        |c: &mut FleetConfig| c.degraded = Some(DegradedConfig::default()),
-        |c: &mut FleetConfig| c.rack = Some(RackConfig::new(Watts::new(100.0))),
+        |c: &mut FleetConfig| c.degraded = true,
+        |c: &mut FleetConfig| c.rack_budget = Some(Watts::new(100.0)),
         |c: &mut FleetConfig| {
             c.faults = Some(FleetFaultPlan::parse("flap@0:period=2").expect("parses"));
         },
@@ -414,8 +414,8 @@ fn without_wall_clock(json: &str) -> String {
 #[test]
 fn checkpoint_json_matches_golden_digest() {
     let config = FleetConfig {
-        degraded: Some(DegradedConfig::default()),
-        rack: Some(RackConfig::new(Watts::new(900.0))),
+        degraded: true,
+        rack_budget: Some(Watts::new(900.0)),
         ..FleetConfig::default()
     };
     let mut engine = FleetEngine::new(config).expect("valid config");
@@ -427,6 +427,21 @@ fn checkpoint_json_matches_golden_digest() {
         0x68ea_20b8_1b6e_5ab5,
         "checkpoint JSON drifted"
     );
+}
+
+/// The default configuration's fingerprint is pinned too, so a checkpoint
+/// of a plain engine keeps restoring across releases. The value is the one
+/// the version-1 checkpoint below carries: the fingerprint predates the
+/// layout change and must not move with it.
+#[test]
+fn default_config_fingerprint_matches_golden() {
+    let engine = FleetEngine::new(FleetConfig::default()).expect("valid config");
+    let json = engine.checkpoint().to_json();
+    assert!(
+        json.contains("\"config_fingerprint\":7908314972348569418,"),
+        "default config fingerprint drifted: {json}"
+    );
+    assert!(V1_CHECKPOINT.contains("\"config_fingerprint\":7908314972348569418,"));
 }
 
 /// A version-1 checkpoint, written by the engine before cached answers

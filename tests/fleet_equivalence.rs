@@ -52,7 +52,6 @@ fn exact_verifying_cache(capacity: usize) -> DecisionCache {
     DecisionCache::new(CacheConfig {
         capacity,
         verify_hits: true,
-        ..CacheConfig::default()
     })
     .expect("capacity >= 1")
 }

@@ -29,8 +29,7 @@ use std::sync::Mutex;
 
 use gpm::core::fleet_load::PhaseTables;
 use gpm::core::{
-    node_shard, DegradedConfig, FleetConfig, FleetEngine, FleetStats, NodeDecision, NodeTelemetry,
-    SubmitOutcome,
+    node_shard, FleetConfig, FleetEngine, FleetStats, NodeDecision, NodeTelemetry, SubmitOutcome,
 };
 use gpm::net::wire::{
     self, decode_frame, encode_frame, Frame, FrameReader, MAX_FRAME_BYTES, MAX_WIRE_CORES,
@@ -357,7 +356,7 @@ fn sharded_submit_matches_standalone_engines() {
     let tables = PhaseTables::build();
     let config = FleetConfig {
         queue_capacity: SMALL_QUEUE,
-        degraded: Some(DegradedConfig::default()),
+        degraded: true,
         ..FleetConfig::default()
     };
     for shards in [1, 2, 4] {
