@@ -68,7 +68,8 @@ use std::time::Instant;
 use gpm_faults::{CorruptField, FleetFaultPlan, FleetFaultSession, SensorStatus};
 use gpm_power::DvfsParams;
 use gpm_types::{
-    GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, QuantizedKeyBuilder, Result, Watts,
+    Fingerprinter, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, QuantizedKeyBuilder,
+    Result, Watts,
 };
 
 use crate::policy::{solver, CacheConfig, CacheSnapshot, HierMaxBips, Policy, PolicyContext};
@@ -767,19 +768,27 @@ impl FleetEngine {
         }
 
         // Phase B — within-tick dedup on (problem, budget): group by the
-        // canonical problem key and the budget's bit pattern, first
-        // occurrence leads. Each report's key — budget-free wherever the
-        // exact budget-interval rule applies — is written once into a
-        // reusable buffer and probed by fingerprint; only a problem new to
-        // the tick pays for a key, stored once however many budgets it is
-        // asked at. Problems sharing a fingerprint chain through `next`,
-        // and a match compares every word; a problem's groups chain
-        // through their own `next`. Group order (= first-occurrence order)
-        // drives every later cache access, so nothing depends on hash
-        // iteration order.
+        // canonical problem and the budget's bit pattern, first
+        // occurrence leads. A report is probed by a fingerprint mixed from
+        // its matrices' stored fingerprint, its current modes and — unless
+        // the exact budget-interval rule leaves the budget out of the key
+        // — its budget bits. Problems sharing a fingerprint chain through
+        // `next`, and a match is confirmed against the problem's leader
+        // report: bit-identical cells (`same_cells`, one pointer compare
+        // when both share a decoder's interned storage), equal modes and,
+        // when the key holds it, equal budget bits. That is exactly
+        // `write_key` word equality, so only a problem new to the tick
+        // writes its key, stored once however many budgets it is asked
+        // at. A problem's groups chain through their own `next`. Group
+        // order (= first-occurrence order) drives every later cache
+        // access, so nothing depends on hash iteration order.
         struct TickProblem {
             key: QuantizedKey,
-            /// The problem's newest group.
+            /// Index into `batch` of the problem's first report.
+            leader: usize,
+            /// Whether the key leaves the budget out.
+            budget_free: bool,
+            /// The head of the problem's group chain: its first group.
             groups: usize,
             /// The previous problem with the same fingerprint, or `NONE`.
             next: usize,
@@ -791,7 +800,7 @@ impl FleetEngine {
             /// Index into `accepted` of the first member.
             leader: usize,
             size: u64,
-            /// The problem's previous group, or `NONE`.
+            /// The next group in the problem's chain, or `NONE`.
             next: usize,
         }
         const NONE: usize = usize::MAX;
@@ -801,7 +810,6 @@ impl FleetEngine {
         let mut group_of: Vec<usize> = Vec::with_capacity(accepted.len());
         for (a, &i) in accepted.iter().enumerate() {
             let report = &batch[i];
-            let scratch = &mut self.key_scratch;
             let ctx = PolicyContext {
                 current_modes: &report.current,
                 matrices: &report.matrices,
@@ -810,17 +818,26 @@ impl FleetEngine {
                 dvfs: &self.config.dvfs,
                 explore: self.config.explore,
             };
-            DecisionCache::write_key(scratch, &ctx, solved_exactly(&self.config, report));
-            let fingerprint = scratch.fingerprint();
+            let exact = solved_exactly(&self.config, report);
+            let budget_free = DecisionCache::budget_free(&ctx, exact);
+            let fingerprint = problem_fingerprint(report, budget_free);
             let mut p = self.dedup.get(&fingerprint).copied().unwrap_or(NONE);
-            while p != NONE && problems[p].key.words() != scratch.words() {
-                p = problems[p].next;
+            while p != NONE {
+                let problem = &problems[p];
+                let leader = (&batch[problem.leader], problem.budget_free);
+                if same_problem(leader, (report, budget_free)) {
+                    break;
+                }
+                p = problem.next;
             }
             if p == NONE {
                 p = problems.len();
                 let next = self.dedup.insert(fingerprint, p).unwrap_or(NONE);
+                DecisionCache::write_key(&mut self.key_scratch, &ctx, exact);
                 problems.push(TickProblem {
-                    key: scratch.to_key(),
+                    key: self.key_scratch.to_key(),
+                    leader: i,
+                    budget_free,
                     groups: NONE,
                     next,
                 });
@@ -831,15 +848,24 @@ impl FleetEngine {
                 g = groups[g].next;
             }
             if g == NONE {
+                // The problem's first group stays at the head of its chain
+                // (its budget is usually the one most reports carry); later
+                // groups are linked in behind it.
                 g = groups.len();
+                let head = problems[p].groups;
+                let next = if head == NONE {
+                    problems[p].groups = g;
+                    NONE
+                } else {
+                    std::mem::replace(&mut groups[head].next, g)
+                };
                 groups.push(Group {
                     problem: p,
                     budget_word,
                     leader: a,
                     size: 0,
-                    next: problems[p].groups,
+                    next,
                 });
-                problems[p].groups = g;
             }
             groups[g].size += 1;
             group_of.push(g);
@@ -1258,8 +1284,7 @@ fn telemetry_valid(telemetry: &NodeTelemetry) -> bool {
 fn corrupt_report(report: &mut NodeTelemetry, field: CorruptField) {
     match field {
         CorruptField::Nan | CorruptField::Negative => {
-            let matrices = &report.matrices;
-            let mut rows = [matrices.power_rows(), matrices.bips_rows()].concat();
+            let mut rows = report.matrices.stacked_rows().to_vec();
             if let Some(row) = rows.first_mut() {
                 row[0] = match field {
                     CorruptField::Nan => f64::NAN,
@@ -1376,6 +1401,36 @@ fn solved_exactly(config: &FleetConfig, report: &NodeTelemetry) -> bool {
     report.matrices.cores() <= config.flat_core_limit
 }
 
+/// Phase B's dedup probe for `report`: its matrices' stored fingerprint,
+/// its current modes and, unless the key is `budget_free`, its budget
+/// bits, mixed by the key fingerprint's [`Fingerprinter`]. Reports with
+/// equal `write_key` words always probe equal; the probe reads no cell.
+fn problem_fingerprint(report: &NodeTelemetry, budget_free: bool) -> u64 {
+    let mut fingerprint = Fingerprinter::new();
+    fingerprint.push(report.matrices.fingerprint());
+    for &mode in report.current.as_slice() {
+        fingerprint.push(mode.index() as u64);
+    }
+    if !budget_free {
+        fingerprint.push(report.budget.value().to_bits());
+    }
+    fingerprint.finish()
+}
+
+/// Whether two reports, each with whether its key is budget-free, pose
+/// the same Phase B problem: bit-identical cells, equal modes, and either
+/// both keys budget-free or equal budget bits. Exactly `write_key` word
+/// equality, without writing either key.
+fn same_problem(
+    (leader, leader_budget_free): (&NodeTelemetry, bool),
+    (report, budget_free): (&NodeTelemetry, bool),
+) -> bool {
+    leader_budget_free == budget_free
+        && leader.matrices.same_cells(&report.matrices)
+        && leader.current == report.current
+        && (budget_free || leader.budget.value().to_bits() == report.budget.value().to_bits())
+}
+
 /// The fleet's solver dispatch: flat exact branch-and-bound up to the
 /// configured width, the two-level hierarchical policy above it.
 fn solve_report(config: &FleetConfig, report: &NodeTelemetry) -> ModeCombination {
@@ -1403,8 +1458,10 @@ fn solve_report(config: &FleetConfig, report: &NodeTelemetry) -> ModeCombination
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use gpm_types::PowerMode;
+    use proptest::prelude::*;
+
+    use super::*;
 
     /// Telemetry for a `cores`-way node whose matrix rows vary with
     /// `phase`, so distinct phases are distinct cache keys.
@@ -2146,5 +2203,120 @@ mod tests {
             ModeCombination::uniform(3, PowerMode::Eff2)
         );
         assert_eq!(step_down(&mixed, 0), mixed);
+    }
+
+    /// Cells drawn from a palette that makes bit-level near misses common:
+    /// both zeros, two subnormals and two normal values.
+    const PALETTE: [f64; 6] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 2.0,
+        f64::MIN_POSITIVE / 4.0,
+        1.5,
+        2.5,
+    ];
+
+    /// A report whose cells are `cells[..6 * cores]` taken from
+    /// [`PALETTE`] and whose modes are `modes[..cores]`.
+    fn palette_report(
+        cores: usize,
+        cells: &[usize],
+        modes: &[usize],
+        budget: f64,
+    ) -> NodeTelemetry {
+        let rows: Vec<[f64; 3]> = cells[..6 * cores]
+            .chunks_exact(3)
+            .map(|c| [PALETTE[c[0]], PALETTE[c[1]], PALETTE[c[2]]])
+            .collect();
+        NodeTelemetry {
+            node: 0,
+            tick: 0,
+            matrices: PowerBipsMatrices::from_stacked_rows(rows),
+            current: modes[..cores].iter().map(|&m| PowerMode::ALL[m]).collect(),
+            budget: Watts::new(budget),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Phase B's probe-and-confirm identity is exactly `write_key`
+        /// word equality: for report pairs built on shared or separate
+        /// storage, differing in a `±0.0` or subnormal cell, a mode, the
+        /// budget or the width, on both sides of the flat solver limit.
+        #[test]
+        fn phase_b_identity_is_write_key_equality(
+            (cores_a, cores_b) in (1usize..=6, 1usize..=6),
+            cells in prop::collection::vec(0usize..6, 36),
+            modes in prop::collection::vec(0usize..3, 6),
+            (kind, flip, bump_mode) in (0u32..5, 0usize..36, 0usize..6),
+            (budget_a, budget_b) in (0usize..3, 0usize..3),
+        ) {
+            const BUDGETS: [f64; 3] = [10.0, 20.0, 10.000_000_000_000_002];
+            let config = FleetConfig {
+                flat_core_limit: 3,
+                ..FleetConfig::default()
+            };
+            let a = palette_report(cores_a, &cells, &modes, BUDGETS[budget_a]);
+            let mut b = match kind {
+                // The same storage, as a decoder's interned clone.
+                0 => NodeTelemetry { node: 1, ..a.clone() },
+                // Separately built from the same cells.
+                1 => palette_report(cores_a, &cells, &modes, BUDGETS[budget_a]),
+                // One cell moved: +0.0 ↔ -0.0, or a subnormal ↔ the other.
+                2 => {
+                    let mut cells = cells.clone();
+                    let at = flip % (6 * cores_a);
+                    cells[at] ^= 1;
+                    palette_report(cores_a, &cells, &modes, BUDGETS[budget_a])
+                }
+                // One mode moved.
+                3 => {
+                    let mut modes = modes.clone();
+                    let at = bump_mode % cores_a;
+                    modes[at] = (modes[at] + 1) % 3;
+                    palette_report(cores_a, &cells, &modes, BUDGETS[budget_a])
+                }
+                // Another width over the same leading cells.
+                _ => palette_report(cores_b, &cells, &modes, BUDGETS[budget_a]),
+            };
+            b.node = 1;
+            b.budget = Watts::new(BUDGETS[budget_b]);
+
+            let probe = |report: &NodeTelemetry| {
+                let ctx = PolicyContext {
+                    current_modes: &report.current,
+                    matrices: &report.matrices,
+                    future: None,
+                    budget: report.budget,
+                    dvfs: &config.dvfs,
+                    explore: config.explore,
+                };
+                let exact = solved_exactly(&config, report);
+                let mut key = QuantizedKeyBuilder::default();
+                DecisionCache::write_key(&mut key, &ctx, exact);
+                let budget_free = DecisionCache::budget_free(&ctx, exact);
+                (key.finish(), budget_free, problem_fingerprint(report, budget_free))
+            };
+            let (key_a, free_a, probe_a) = probe(&a);
+            let (key_b, free_b, probe_b) = probe(&b);
+            let keys_equal = key_a.words() == key_b.words();
+            prop_assert_eq!(same_problem((&a, free_a), (&b, free_b)), keys_equal);
+            prop_assert_eq!(same_problem((&b, free_b), (&a, free_a)), keys_equal);
+            if keys_equal {
+                prop_assert_eq!(probe_a, probe_b);
+            }
+
+            // Through the engine: one group iff one key at one budget.
+            let same_group = keys_equal && budget_a == budget_b;
+            let mut engine = FleetEngine::new(config.clone()).expect("valid config");
+            prop_assert!(engine.submit(a.clone()));
+            prop_assert!(engine.submit(b.clone()));
+            let decisions = engine.run_tick(0);
+            prop_assert_eq!(decisions.len(), 2);
+            let stats = engine.stats();
+            prop_assert_eq!(stats.dedup_hits, u64::from(same_group));
+            prop_assert_eq!(stats.unique_solves, 2 - u64::from(same_group));
+        }
     }
 }

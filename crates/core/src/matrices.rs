@@ -1,10 +1,11 @@
 //! The Power and BIPS matrices of Section 5.5.
 
 use std::fmt;
+use std::sync::Arc;
 
 use gpm_cmp::{CoreObservation, TraceCmpSim};
 use gpm_power::DvfsParams;
-use gpm_types::{Bips, CoreId, Micros, ModeCombination, PowerMode, Watts};
+use gpm_types::{Bips, CoreId, Fingerprinter, Micros, ModeCombination, PowerMode, Watts};
 
 /// N×3 predictions of each core's power and throughput in every mode.
 ///
@@ -44,16 +45,34 @@ use gpm_types::{Bips, CoreId, Micros, ModeCombination, PowerMode, Watts};
 /// assert!((b_eff2.value() - 1.9 / 0.95 * 0.85).abs() < 1e-9);
 /// ```
 ///
-/// The two matrices live in one allocation — the power rows, then the
-/// BIPS rows — and the type is immutable, so every constructor checks the
-/// cells once while they are hot and [`cells_valid`](Self::cells_valid)
-/// returns the stored answer.
-#[derive(Clone, PartialEq)]
+/// The two matrices live in one shared, immutable allocation — the power
+/// rows, then the BIPS rows — so a clone is a reference-count bump, and
+/// copies of one report (a wire decoder's interned matrices, a fleet
+/// engine's queued batch) share their cells. Every constructor makes one
+/// pass over the cells while they are hot, storing whether they are all
+/// valid ([`cells_valid`](Self::cells_valid)) and a fingerprint of their
+/// bit patterns ([`fingerprint`](Self::fingerprint)); neither accessor
+/// reads a cell.
+///
+/// Two equalities are on offer. `==` compares values: `-0.0 == 0.0`, and
+/// a NaN cell never equals itself, not even in a clone.
+/// [`same_cells`](Self::same_cells) compares bit patterns, the identity
+/// decision-cache keys use.
+#[derive(Clone)]
 pub struct PowerBipsMatrices {
     /// `cores` power rows followed by `cores` BIPS rows.
-    rows: Vec<[f64; PowerMode::COUNT]>,
+    rows: Arc<[[f64; PowerMode::COUNT]]>,
+    /// The [`Fingerprinter`] hash of every cell's bit pattern, in row order.
+    fingerprint: u64,
     /// Whether every cell is finite and non-negative.
     valid: bool,
+}
+
+impl PartialEq for PowerBipsMatrices {
+    fn eq(&self, other: &Self) -> bool {
+        // Shared storage is equal to itself only when no cell is NaN.
+        (self.valid && Arc::ptr_eq(&self.rows, &other.rows)) || self.rows == other.rows
+    }
 }
 
 impl fmt::Debug for PowerBipsMatrices {
@@ -70,16 +89,15 @@ impl PowerBipsMatrices {
     /// predictive controller of Section 5.5).
     #[must_use]
     pub fn predict(observed: &[CoreObservation]) -> Self {
-        let mut rows = Vec::with_capacity(2 * observed.len());
-        rows.extend(observed.iter().map(|obs| {
+        let power = observed.iter().map(|obs| {
             let p_turbo = obs.power.value() / obs.mode.power_scale();
             PowerMode::ALL.map(|m| p_turbo * m.power_scale())
-        }));
-        rows.extend(observed.iter().map(|obs| {
+        });
+        let bips = observed.iter().map(|obs| {
             let b_turbo = obs.bips.value() / obs.mode.bips_scale_bound();
             PowerMode::ALL.map(|m| b_turbo * m.bips_scale_bound())
-        }));
-        Self::from_stacked_rows(rows)
+        });
+        Self::from_stacked_rows(power.chain(bips).collect::<Arc<[_]>>())
     }
 
     /// Builds *oracle* matrices by reading each core's actual per-mode
@@ -110,31 +128,37 @@ impl PowerBipsMatrices {
         bips: Vec<[f64; PowerMode::COUNT]>,
     ) -> Self {
         assert_eq!(power.len(), bips.len(), "row count mismatch");
-        let mut rows = power;
-        rows.extend_from_slice(&bips);
-        Self::from_stacked_rows(rows)
+        Self::from_stacked_rows(power.iter().chain(&bips).copied().collect::<Arc<[_]>>())
     }
 
-    /// Builds matrices from one vector holding the power rows followed by
-    /// the BIPS rows (the wire decoder's layout), taking it as storage.
+    /// Builds matrices from the power rows followed by the BIPS rows (the
+    /// wire decoder's layout). An `Arc` is taken as the storage as it is;
+    /// a `Vec` or a slice is copied into one new allocation.
     ///
     /// # Panics
     ///
     /// Panics if `rows` has an odd length.
     #[must_use]
-    pub fn from_stacked_rows(rows: Vec<[f64; PowerMode::COUNT]>) -> Self {
+    pub fn from_stacked_rows(rows: impl Into<Arc<[[f64; PowerMode::COUNT]]>>) -> Self {
+        let rows = rows.into();
         assert!(
             rows.len().is_multiple_of(2),
             "stacked row count {} is odd",
             rows.len()
         );
-        // One branch-free pass: `0 <= cell < inf` is false for NaN, both
-        // infinities and negative cells, true for -0.0 and subnormals.
-        let valid = rows
+        let cells = rows.as_flattened();
+        let mut fingerprint = Fingerprinter::new();
+        fingerprint.push_values(cells);
+        // Branch-free: `0 <= cell < inf` is false for NaN, both infinities
+        // and negative cells, true for -0.0 and subnormals.
+        let valid = cells
             .iter()
-            .flatten()
             .fold(true, |ok, &cell| ok & (0.0..f64::INFINITY).contains(&cell));
-        Self { rows, valid }
+        Self {
+            rows,
+            fingerprint: fingerprint.finish(),
+            valid,
+        }
     }
 
     /// Number of cores covered.
@@ -181,6 +205,37 @@ impl PowerBipsMatrices {
     #[must_use]
     pub fn cells_valid(&self) -> bool {
         self.valid
+    }
+
+    /// The fingerprint of every cell's bit pattern, power rows then BIPS
+    /// rows, computed once at construction. Equal for any two matrices
+    /// with [`same_cells`](Self::same_cells).
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// Whether `other` holds bit-identical cells: it shares this storage,
+    /// or its fingerprint matches and every cell has the same bit
+    /// pattern. So `-0.0` and `0.0` differ and a NaN matches the same NaN
+    /// — exactly the decision-cache key's identity.
+    #[must_use]
+    pub fn same_cells(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.rows, &other.rows)
+            || (self.fingerprint == other.fingerprint
+                && self.rows.len() == other.rows.len()
+                && self
+                    .rows
+                    .as_flattened()
+                    .iter()
+                    .zip(other.rows.as_flattened())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()))
+    }
+
+    /// The power rows followed by the BIPS rows, as stored.
+    #[must_use]
+    pub fn stacked_rows(&self) -> &[[f64; PowerMode::COUNT]] {
+        &self.rows
     }
 
     /// Predicted total chip power under a mode combination.
@@ -305,6 +360,27 @@ mod tests {
         let _ = PowerBipsMatrices::from_rows(vec![[0.0; 3]], vec![]);
     }
 
+    #[test]
+    fn value_equality_and_cell_identity_differ_where_the_key_does() {
+        let zero = PowerBipsMatrices::from_rows(vec![[0.0, 1.0, 2.0]], vec![[1.0; 3]]);
+        let negative_zero = PowerBipsMatrices::from_rows(vec![[-0.0, 1.0, 2.0]], vec![[1.0; 3]]);
+        assert_eq!(zero, negative_zero);
+        assert!(!zero.same_cells(&negative_zero));
+        assert_ne!(zero.fingerprint(), negative_zero.fingerprint());
+
+        // A clone shares storage; separately built equal bits are the same
+        // cells too, with the same fingerprint.
+        let rebuilt = PowerBipsMatrices::from_stacked_rows(zero.stacked_rows());
+        assert!(zero.same_cells(&zero.clone()) && zero.same_cells(&rebuilt));
+        assert_eq!(zero.fingerprint(), rebuilt.fingerprint());
+
+        // NaN never equals itself by value, even through shared storage,
+        // but it is the same cell as itself.
+        let nan = PowerBipsMatrices::from_rows(vec![[f64::NAN, 1.0, 2.0]], vec![[1.0; 3]]);
+        assert_ne!(nan, nan.clone());
+        assert!(nan.same_cells(&nan.clone()));
+    }
+
     /// A cell drawn mostly from `[0, 100)`, with NaN, both infinities,
     /// -0.0, positive and negative subnormals and negative values mixed in.
     fn cell() -> impl Strategy<Value = f64> {
@@ -378,6 +454,13 @@ mod tests {
             };
             prop_assert_eq!(bits(&split), bits(&stacked));
             prop_assert_eq!(split.cells_valid(), scan(&split));
+            prop_assert!(split.same_cells(&stacked));
+            let mut fresh = Fingerprinter::new();
+            for cell in bits(&stacked) {
+                fresh.push(cell);
+            }
+            prop_assert_eq!(stacked.fingerprint(), fresh.finish());
+            prop_assert_eq!(split.fingerprint(), stacked.fingerprint());
 
             let observed: Vec<CoreObservation> = power
                 .iter()

@@ -328,18 +328,7 @@ impl DecisionCache {
     /// `exact` says whether the answer will come from [`solver::solve`];
     /// only then may the key leave the budget out.
     pub fn write_key(b: &mut QuantizedKeyBuilder, ctx: &PolicyContext<'_>, exact: bool) {
-        // The largest transition stall is Turbo ↔ Eff2's; if it is finite,
-        // so is every other. The cells are checked once per problem, when
-        // it enters the cache (`add_problem`), not on every lookup.
-        let budget_free = exact
-            && ctx.budget.value().is_finite()
-            && ctx.explore.value().is_finite()
-            && ctx.explore.value() > 0.0
-            && ctx
-                .dvfs
-                .transition_time(PowerMode::Turbo, PowerMode::Eff2)
-                .value()
-                .is_finite();
+        let budget_free = Self::budget_free(ctx, exact);
         let matrices = ctx.matrices;
         b.clear();
         b.push_word(matrices.cores() as u64);
@@ -357,6 +346,25 @@ impl DecisionCache {
         b.push_word(ctx.dvfs.nominal_vdd.value().to_bits());
         b.push_word(ctx.dvfs.nominal_frequency.value().to_bits());
         b.push_word(ctx.dvfs.slew_rate_v_per_us.to_bits());
+    }
+
+    /// Whether [`write_key`](Self::write_key) leaves the budget out of
+    /// `ctx`'s key: the answer comes from [`solver::solve`] (`exact`) and
+    /// the budget-interval rule applies.
+    #[must_use]
+    pub(crate) fn budget_free(ctx: &PolicyContext<'_>, exact: bool) -> bool {
+        // The largest transition stall is Turbo ↔ Eff2's; if it is finite,
+        // so is every other. The cells are checked once per problem, when
+        // it enters the cache (`add_problem`), not on every lookup.
+        exact
+            && ctx.budget.value().is_finite()
+            && ctx.explore.value().is_finite()
+            && ctx.explore.value() > 0.0
+            && ctx
+                .dvfs
+                .transition_time(PowerMode::Turbo, PowerMode::Eff2)
+                .value()
+                .is_finite()
     }
 
     /// Raw lookup: the memoized combination for `key` at `budget`

@@ -29,6 +29,8 @@
 //! flat MaxBIPS infeasibility behaviour. At or below one cluster's width
 //! the policy *is* flat MaxBIPS (it delegates to the same solver).
 
+use std::sync::Arc;
+
 use gpm_types::{CoreId, GpmError, ModeCombination, PowerMode, Result, Watts};
 
 use super::{solver, Policy, PolicyContext};
@@ -119,13 +121,10 @@ impl Policy for HierMaxBips {
             .map(|start| (start, (start + self.cluster_cores).min(n)))
             .collect();
         let solves: Vec<ModeCombination> = gpm_par::parallel_map(&clusters, |&(start, end)| {
-            let sub = PowerBipsMatrices::from_stacked_rows(
-                [
-                    &ctx.matrices.power_rows()[start..end],
-                    &ctx.matrices.bips_rows()[start..end],
-                ]
-                .concat(),
-            );
+            let rows = ctx.matrices.power_rows()[start..end]
+                .iter()
+                .chain(&ctx.matrices.bips_rows()[start..end]);
+            let sub = PowerBipsMatrices::from_stacked_rows(rows.copied().collect::<Arc<[_]>>());
             let current = ModeCombination::from_slice(&ctx.current_modes.as_slice()[start..end]);
             solver::solve(
                 &sub,

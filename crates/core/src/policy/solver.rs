@@ -40,7 +40,7 @@
 //! that order, so it carries each partial assignment's rank explicitly and
 //! accepts a leaf only if its objective is strictly larger, or equal with a
 //! strictly smaller rank. Every pruning bound is slackened by
-//! [`BOUND_SLACK`] (absolute + relative), which covers the worst-case
+//! `BOUND_SLACK` (absolute + relative), which covers the worst-case
 //! floating-point discrepancy between the bound's summation order and the
 //! leaf's — so a subtree is discarded only when no leaf in it can beat *or
 //! tie* the incumbent. Surviving leaves are evaluated through the exact

@@ -585,7 +585,7 @@ impl<M: MemorySubsystem> CoreModel<M> {
     /// Drops any instructions that were fetched from a source but not yet
     /// executed.
     ///
-    /// The core prefetches ops in blocks of [`OP_BATCH`]; callers that swap
+    /// The core prefetches ops in blocks of `OP_BATCH`; callers that swap
     /// instruction sources on a live core (e.g. trace capture restarting a
     /// stream after cache warm-up) must discard the stale tail so the next
     /// run starts at the new source's first op.

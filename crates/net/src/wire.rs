@@ -22,22 +22,28 @@
 //!
 //! Decoding is a single pass over the borrowed receive buffer — scalars
 //! are read in place and the owned [`NodeTelemetry`]/[`NodeDecision`]
-//! vectors are built directly from the wire bytes with no intermediate
-//! frame copy. A `Telemetry` frame's power and BIPS rows are read with
-//! one bounds check into the matrices' single stacked vector, and mode
-//! bytes are checked, then stored in the [`ModeCombination`] — inline up
-//! to [`gpm_types::INLINE_MODES`] cores. So up to that width a
-//! `Telemetry` frame decodes with one allocation and a `Decision` frame
-//! with none. Every malformed frame is an explicit
+//! values are built directly from the wire bytes with no intermediate
+//! frame copy. A `Telemetry` frame's power and BIPS rows are taken with
+//! one bounds check and read into the matrices' single shared block, and
+//! mode bytes are checked, then stored in the [`ModeCombination`] —
+//! inline up to [`INLINE_MODES`] cores. So up to that width
+//! [`decode_frame`] decodes a `Telemetry` frame with one allocation and
+//! a `Decision` frame with none. A [`FrameReader`] does better on a
+//! stream that repeats matrices: its intern table hands a repeated
+//! `Telemetry` frame the matrices it decoded before, with no allocation.
+//! Every malformed frame is an explicit
 //! [`GpmError::Wire`]: truncated payloads, trailing garbage, length
 //! prefixes beyond [`MAX_FRAME_BYTES`], foreign version bytes, unknown
 //! kinds, out-of-range mode bytes and core counts beyond
 //! [`MAX_WIRE_CORES`] are all rejected, never silently repaired.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use gpm_core::{NodeDecision, NodeTelemetry, PowerBipsMatrices};
-use gpm_types::{CoreId, GpmError, ModeCombination, PowerMode, Result, Watts};
+use gpm_types::{
+    CoreId, Fingerprinter, GpmError, ModeCombination, PowerMode, Result, Watts, INLINE_MODES,
+};
 
 /// Protocol version this build speaks; frames carrying any other version
 /// byte are rejected.
@@ -194,11 +200,10 @@ impl<'a> Cursor<'a> {
             .collect())
     }
 
-    /// Reads `rows` little-endian `[f64; 3]` rows with one bounds check
-    /// into a single exact-size vector. A short body reports the same
-    /// truncation point as reading the cells one `f64` at a time would.
-    fn rows(&mut self, rows: usize) -> Result<Vec<[f64; 3]>> {
-        const ROW: usize = 3 * 8;
+    /// Takes the bytes of `rows` little-endian `[f64; 3]` rows with one
+    /// bounds check. A short body reports the same truncation point as
+    /// reading the cells one `f64` at a time would.
+    fn rows(&mut self, rows: usize) -> Result<&'a [u8]> {
         let whole_cells = (self.buf.len() - self.pos) / 8;
         if whole_cells < 3 * rows {
             // Skip the cells that are present; fewer than 8 bytes remain,
@@ -206,13 +211,86 @@ impl<'a> Cursor<'a> {
             self.pos += whole_cells * 8;
             self.take(8)?;
         }
-        let bytes = self.take(rows * ROW)?;
-        let cell = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte cell"));
-        Ok(bytes
-            .chunks_exact(ROW)
-            .map(|row| [cell(&row[..8]), cell(&row[8..16]), cell(&row[16..])])
-            .collect())
+        self.take(rows * ROW_BYTES)
     }
+}
+
+/// Bytes of one `[f64; 3]` matrix row on the wire.
+const ROW_BYTES: usize = 3 * 8;
+
+/// One little-endian cell.
+fn cell(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte cell"))
+}
+
+/// Matrices decoded from stacked little-endian rows into one exact-size
+/// allocation.
+fn decode_rows(bytes: &[u8]) -> PowerBipsMatrices {
+    let f = |b: &[u8]| f64::from_bits(cell(b));
+    let rows = bytes
+        .chunks_exact(ROW_BYTES)
+        .map(|row| [f(&row[..8]), f(&row[8..16]), f(&row[16..])]);
+    PowerBipsMatrices::from_stacked_rows(rows.collect::<Arc<[_]>>())
+}
+
+/// Entries in a [`FrameReader`]'s intern table.
+const INTERN_SLOTS: usize = 1024;
+
+/// Entries per set of the intern table. Four ways keep a handful of
+/// matrices that share a set from evicting each other.
+const INTERN_WAYS: usize = 4;
+
+/// A reader's intern table: recently decoded matrix pairs in
+/// [`INTERN_WAYS`]-way sets, so a connection whose reports repeat a
+/// matrix decodes it once and hands out shared clones. Only frames of at
+/// most [`INLINE_MODES`] cores are interned, which bounds the cells a
+/// table pins at `INTERN_SLOTS × INLINE_MODES × 48` bytes.
+#[derive(Default)]
+struct Interner {
+    /// Empty until the first internable frame; each set is
+    /// [`INTERN_WAYS`] consecutive entries, newest first.
+    slots: Vec<Option<PowerBipsMatrices>>,
+}
+
+impl Interner {
+    /// Matrices for the stacked rows `bytes`: an entry of their set when
+    /// it holds exactly these bytes, otherwise a fresh decode that
+    /// replaces the set's oldest entry.
+    fn matrices(&mut self, bytes: &[u8]) -> PowerBipsMatrices {
+        if self.slots.is_empty() {
+            self.slots.resize(INTERN_SLOTS, None);
+        }
+        let set = INTERN_WAYS * set_of(bytes);
+        let ways = &mut self.slots[set..set + INTERN_WAYS];
+        if let Some(matrices) = ways.iter().flatten().find(|m| holds_bytes(m, bytes)) {
+            return matrices.clone();
+        }
+        ways.rotate_right(1);
+        ways[0].insert(decode_rows(bytes)).clone()
+    }
+}
+
+/// The intern set for stacked rows `bytes`: the row count and four
+/// sampled cells, mixed. Cheap by design; a hit is confirmed byte for
+/// byte, so colliding matrices only cost a decode.
+fn set_of(bytes: &[u8]) -> usize {
+    let cells = bytes.len() / 8;
+    let mut hash = Fingerprinter::new();
+    hash.push(cells as u64);
+    for i in [0, cells / 4, cells / 2, cells - 1] {
+        hash.push(cell(&bytes[8 * i..8 * i + 8]));
+    }
+    hash.finish() as usize % (INTERN_SLOTS / INTERN_WAYS)
+}
+
+/// Whether `matrices` holds exactly the little-endian cells `bytes`.
+fn holds_bytes(matrices: &PowerBipsMatrices, bytes: &[u8]) -> bool {
+    let cells = matrices.stacked_rows().as_flattened();
+    cells.len() * 8 == bytes.len()
+        && cells
+            .iter()
+            .zip(bytes.chunks_exact(8))
+            .all(|(c, b)| c.to_bits() == cell(b))
 }
 
 fn push_modes(out: &mut Vec<u8>, modes: &ModeCombination) {
@@ -324,6 +402,12 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
 /// trailing bytes, out-of-range core counts and mode bytes — every
 /// failure a [`GpmError::Wire`] naming the offending frame.
 pub fn decode_frame(payload: &[u8]) -> Result<Frame> {
+    decode_payload(payload, None)
+}
+
+/// [`decode_frame`], taking a `Telemetry` frame's matrices from `interner`
+/// when one is given and the frame is at most [`INLINE_MODES`] cores wide.
+fn decode_payload(payload: &[u8], interner: Option<&mut Interner>) -> Result<Frame> {
     if payload.len() < 2 {
         return Err(wire_err(format!(
             "frame payload of {} bytes cannot hold version and kind",
@@ -349,10 +433,14 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame> {
             // Power rows then BIPS rows: the matrices' own stacked layout.
             let rows = c.rows(2 * cores)?;
             c.finish()?;
+            let matrices = match interner {
+                Some(interner) if cores <= INLINE_MODES => interner.matrices(rows),
+                _ => decode_rows(rows),
+            };
             Ok(Frame::Telemetry(NodeTelemetry {
                 node,
                 tick,
-                matrices: PowerBipsMatrices::from_stacked_rows(rows),
+                matrices,
                 current,
                 budget,
             }))
@@ -412,14 +500,32 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame> {
     }
 }
 
-/// Buffered frame reader over any byte stream. The payload buffer is
-/// reused across frames, so steady-state reads allocate only for the
-/// decoded frame's own vectors: a `Telemetry` frame's one stacked row
-/// vector, plus a mode vector above [`gpm_types::INLINE_MODES`] cores;
-/// a `Decision` frame up to that width allocates nothing.
+/// Buffered frame reader over any byte stream.
+///
+/// The payload buffer is reused across frames, and each reader keeps an
+/// intern table of the matrices its `Telemetry` frames carried: a frame
+/// whose power and BIPS bytes equal a table entry's cells byte for byte
+/// gets a shared clone of that entry — no allocation, no validity or
+/// fingerprint pass, and one storage for every report of the same
+/// matrices, which the fleet engine's dedup then matches by pointer. A
+/// miss decodes as [`decode_frame`] does and replaces the oldest entry of
+/// its set.
+///
+/// The table is allocated on the first `Telemetry` frame, so a reader
+/// that only ever sees decisions pays nothing for it. It has 1024
+/// entries in 4-way sets and interns only frames of at most
+/// [`INLINE_MODES`] (38) cores, so one reader pins at most 1024 × 38 × 48
+/// bytes = 1,867,776 bytes (1.78 MiB) of matrix cells. Wider frames
+/// always decode fresh.
+///
+/// Steady-state reads therefore allocate nothing for a repeated
+/// `Telemetry` frame of at most [`INLINE_MODES`] cores, one block for a
+/// new one, and nothing for a `Decision` frame up to that width; wider
+/// frames add one heap vector for their modes.
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
+    interner: Interner,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -428,6 +534,7 @@ impl<R: Read> FrameReader<R> {
         Self {
             inner,
             buf: Vec::new(),
+            interner: Interner::default(),
         }
     }
 
@@ -457,7 +564,7 @@ impl<R: Read> FrameReader<R> {
                 "frame truncated mid-payload ({len} bytes expected): {err}"
             ))
         })?;
-        decode_frame(&self.buf).map(Some)
+        decode_payload(&self.buf, Some(&mut self.interner)).map(Some)
     }
 }
 
@@ -471,4 +578,153 @@ pub fn write_all(writer: &mut impl Write, frames: &[u8]) -> Result<()> {
         .write_all(frames)
         .and_then(|()| writer.flush())
         .map_err(|err| wire_err(format!("writing frames: {err}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `cores`-wide report whose stacked cell `i` is `cell(i)`.
+    fn report(node: u64, cores: usize, cell: impl Fn(usize) -> f64) -> NodeTelemetry {
+        let rows: Vec<[f64; 3]> = (0..2 * cores)
+            .map(|row| [cell(3 * row), cell(3 * row + 1), cell(3 * row + 2)])
+            .collect();
+        NodeTelemetry {
+            node,
+            tick: 4,
+            matrices: PowerBipsMatrices::from_stacked_rows(rows),
+            current: ModeCombination::uniform(cores, PowerMode::Eff1),
+            budget: Watts::new(40.0),
+        }
+    }
+
+    /// The frame payloads of `reports`, one after another on one stream.
+    fn stream(reports: &[NodeTelemetry]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for report in reports {
+            encode_telemetry(report, &mut bytes);
+        }
+        bytes
+    }
+
+    /// Reads every frame of `bytes` through one reader and checks each
+    /// against the stateless decoder, cells compared bit for bit; returns
+    /// the reader's intern table.
+    fn read_all_matching_decode_frame(bytes: &[u8]) -> Interner {
+        let mut reader = FrameReader::new(bytes);
+        let mut at = 0;
+        while let Some(frame) = reader.read().expect("frame decodes") {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            let fresh = decode_frame(&bytes[at + 4..at + 4 + len]).expect("frame decodes");
+            at += 4 + len;
+            let (Frame::Telemetry(got), Frame::Telemetry(want)) = (&frame, &fresh) else {
+                panic!("telemetry frames only");
+            };
+            assert!(got.matrices.same_cells(&want.matrices), "node {}", got.node);
+            assert_eq!(frame, fresh);
+        }
+        assert_eq!(at, bytes.len());
+        reader.interner
+    }
+
+    /// The stacked row bytes of one encoded telemetry frame.
+    fn row_bytes(report: &NodeTelemetry) -> Vec<u8> {
+        let frame = stream(std::slice::from_ref(report));
+        let cores = report.matrices.cores();
+        frame[frame.len() - 2 * cores * ROW_BYTES..].to_vec()
+    }
+
+    #[test]
+    fn frames_sharing_every_sampled_cell_decode_apart() {
+        let cores = 8;
+        let cells = 6 * cores;
+        let sampled = [0, cells / 4, cells / 2, cells - 1];
+        let unsampled = (0..cells).find(|i| !sampled.contains(i)).unwrap();
+        // Five matrices equal in every sampled cell: one set, one more
+        // than it has ways.
+        let reports: Vec<NodeTelemetry> = (0..=INTERN_WAYS)
+            .map(|n| {
+                report(n as u64, cores, |i| {
+                    if i == unsampled {
+                        n as f64
+                    } else {
+                        1.0 + i as f64
+                    }
+                })
+            })
+            .collect();
+        let set = set_of(&row_bytes(&reports[0]));
+        assert!(reports.iter().all(|r| set_of(&row_bytes(r)) == set));
+        assert_ne!(reports[0].matrices, reports[1].matrices);
+        let frames: Vec<NodeTelemetry> = [0, 1, 0, 2, 3, 1, 4, 0, 4, 2, 1]
+            .map(|n| reports[n].clone())
+            .to_vec();
+        let table = read_all_matching_decode_frame(&stream(&frames));
+        let held = table.slots.iter().flatten().count();
+        assert_eq!(held, INTERN_WAYS, "the colliding frames share one set");
+    }
+
+    #[test]
+    fn signed_zeros_are_different_cells() {
+        // Cell 1 is never sampled, so the two frames share a set and
+        // only the byte compare tells them apart.
+        let a = report(1, 4, |i| if i == 1 { 0.0 } else { 2.0 });
+        let b = report(2, 4, |i| if i == 1 { -0.0 } else { 2.0 });
+        assert_eq!(set_of(&row_bytes(&a)), set_of(&row_bytes(&b)));
+        assert_eq!(a.matrices, b.matrices, "equal values");
+        assert!(!a.matrices.same_cells(&b.matrices), "different bits");
+        read_all_matching_decode_frame(&stream(&[a.clone(), b.clone(), b, a]));
+    }
+
+    #[test]
+    fn a_flood_of_distinct_frames_stays_within_the_table() {
+        let reports: Vec<NodeTelemetry> = (0..3 * INTERN_SLOTS)
+            .map(|n| report(n as u64, 1 + n % INLINE_MODES, |i| (n * 1000 + i) as f64))
+            .collect();
+        let table = read_all_matching_decode_frame(&stream(&reports));
+        let slots = &table.slots;
+        assert_eq!(slots.len(), INTERN_SLOTS);
+        let pinned: usize = slots
+            .iter()
+            .flatten()
+            .map(|m| m.stacked_rows().len() * ROW_BYTES)
+            .sum();
+        // The bound the `FrameReader` docs state.
+        assert_eq!(INTERN_SLOTS * INLINE_MODES * 2 * ROW_BYTES, 1_867_776);
+        assert!(pinned <= 1_867_776, "{pinned} bytes pinned");
+    }
+
+    #[test]
+    fn frames_wider_than_the_inline_width_are_never_interned() {
+        let wide = [INLINE_MODES + 1, 64].map(|cores| report(cores as u64, cores, |i| i as f64));
+        let bytes = stream(&[wide[0].clone(), wide[1].clone(), wide[0].clone()]);
+        let table = read_all_matching_decode_frame(&bytes);
+        assert!(table.slots.is_empty(), "no table for wide frames");
+
+        // At the inline width a frame is interned.
+        let edge = report(0, INLINE_MODES, |i| i as f64);
+        let table = read_all_matching_decode_frame(&stream(&[edge.clone(), edge]));
+        assert_eq!(table.slots.iter().flatten().count(), 1);
+    }
+
+    #[test]
+    fn decision_only_readers_allocate_no_table() {
+        let mut bytes = Vec::new();
+        let decision = NodeDecision {
+            node: 3,
+            tick: 1,
+            modes: ModeCombination::uniform(8, PowerMode::Turbo),
+            degraded: false,
+        };
+        encode_decision(&decision, &mut bytes);
+        encode_tick_done(1, 1, 0, &mut bytes);
+        let mut reader = FrameReader::new(bytes.as_slice());
+        assert_eq!(reader.read().unwrap(), Some(Frame::Decision(decision)));
+        assert!(matches!(
+            reader.read().unwrap(),
+            Some(Frame::TickDone { .. })
+        ));
+        assert_eq!(reader.read().unwrap(), None);
+        assert!(reader.interner.slots.is_empty());
+    }
 }

@@ -39,7 +39,7 @@ mod units;
 pub use error::GpmError;
 pub use ids::CoreId;
 pub use mode::{Enumerate, ModeCombination, ModeOdometer, PowerMode, INLINE_MODES};
-pub use quant::{QuantizedKey, QuantizedKeyBuilder};
+pub use quant::{Fingerprinter, QuantizedKey, QuantizedKeyBuilder};
 pub use series::{Sample, TimeSeries};
 pub use stats::SummaryStats;
 pub use units::{Bips, Cycles, Hertz, Instructions, Joules, Micros, Seconds, Volts, Watts};

@@ -15,6 +15,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Public docs must build without warnings: a link to a private item or a
+# broken intra-doc path fails here, not on a reader.
+echo "==> cargo doc --no-deps --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -83,8 +88,9 @@ GPM_THREADS=8 cargo test --quiet --test fleet_chaos
 # corrupt frames rejected with named errors instead of panics, and
 # checkpoint/restore continuing bit-identically through the sharded
 # front. It also promises an allocation budget: a decoded report is one
-# heap block, a decision none, and a warm tick allocates per distinct
-# problem, not per report (alloc_budget, a counting global allocator).
+# heap block, a decision none, a report repeated through one reader none,
+# and a warm tick allocates per distinct problem, not per report
+# (alloc_budget, a counting global allocator).
 # Run both groups under a serial and a saturated pool.
 echo "==> fleet service: serve_equivalence + alloc_budget under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test serve_equivalence --test alloc_budget

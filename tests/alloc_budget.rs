@@ -7,6 +7,9 @@
 //!    decodes with exactly one allocation: the stacked power/BIPS rows.
 //! 3. **Warm tick** — a warm [`FleetEngine::run_tick`] over the phase
 //!    load allocates per distinct problem and per miss, not per report.
+//! 4. **Interned decode** — through one [`FrameReader`], a repeated
+//!    `Telemetry` frame of at most [`INLINE_MODES`] cores decodes with no
+//!    allocation: the reader hands out its interned matrices.
 //!
 //! The counter is per thread, so concurrently running tests do not
 //! disturb each other's counts. Only allocations on the calling thread
@@ -19,8 +22,8 @@ use gpm::core::fleet_load::PhaseTables;
 use gpm::core::{
     FleetConfig, FleetEngine, NodeDecision, NodeTelemetry, PowerBipsMatrices, SubmitOutcome,
 };
-use gpm::net::wire::{decode_frame, encode_decision, encode_telemetry, Frame};
-use gpm::types::{ModeCombination, PowerMode, Watts};
+use gpm::net::wire::{decode_frame, encode_decision, encode_telemetry, Frame, FrameReader};
+use gpm::types::{ModeCombination, PowerMode, Watts, INLINE_MODES};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -129,6 +132,51 @@ fn telemetry_decode_allocates_once_up_to_32_cores() {
             allocs, 1,
             "{cores}-core telemetry decode allocated {allocs} times"
         );
+    }
+}
+
+#[test]
+fn repeated_telemetry_frames_decode_without_allocating_through_one_reader() {
+    for cores in [1, 5, 8, 16, 32, INLINE_MODES] {
+        let first = report(cores);
+        // Same width, so the same payload size, with other cells.
+        let second = NodeTelemetry {
+            matrices: PowerBipsMatrices::from_rows(
+                first
+                    .matrices
+                    .power_rows()
+                    .iter()
+                    .map(|row| row.map(|w| 2.0 * w))
+                    .collect(),
+                first.matrices.bips_rows().to_vec(),
+            ),
+            ..first.clone()
+        };
+        let mut bytes = Vec::new();
+        encode_telemetry(&first, &mut bytes);
+        for _ in 0..3 {
+            encode_telemetry(&second, &mut bytes);
+        }
+        let mut reader = FrameReader::new(bytes.as_slice());
+        let mut read = |want: &NodeTelemetry| {
+            let (frame, allocs) = allocations(|| reader.read());
+            let frame = frame.expect("telemetry decodes").expect("a frame");
+            assert_eq!(frame, Frame::Telemetry(want.clone()));
+            allocs
+        };
+        // The first frame grows the payload buffer, allocates the intern
+        // table and decodes its cells into one block.
+        assert_eq!(read(&first), 3, "{cores}-core first frame");
+        // A new matrix costs its cells' block alone.
+        assert_eq!(read(&second), 1, "{cores}-core new matrix");
+        // A repeated one costs nothing.
+        for _ in 0..2 {
+            let allocs = read(&second);
+            assert_eq!(
+                allocs, 0,
+                "{cores}-core repeated frame allocated {allocs} times"
+            );
+        }
     }
 }
 
