@@ -3,7 +3,7 @@
 use gpm_types::{GpmError, Hertz, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::{CacheConfig, PredictorConfig};
+use crate::{CacheConfig, MicroOp, PredictorConfig};
 
 /// Latencies of the asynchronous (non-core-clock) part of the hierarchy.
 ///
@@ -49,7 +49,7 @@ pub struct CoreConfig {
     pub dispatch_width: u32,
     /// Reorder-buffer window bounding in-flight instructions. Table 1 lists
     /// a 256-entry instruction queue; the window also caps memory-level
-    /// parallelism.
+    /// parallelism. Must stay below [`MicroOp::MAX_DEP`].
     pub rob_size: usize,
     /// Number of load/store units (Table 1: 2 LSU).
     pub lsu_count: usize,
@@ -135,6 +135,18 @@ impl CoreConfig {
             return Err(GpmError::InvalidConfig {
                 parameter: "rob_size",
                 reason: "must be at least 1".into(),
+            });
+        }
+        // A dependency distance saturated at `MAX_DEP` must fall outside
+        // the window, as the longer distance it stands for would.
+        if self.rob_size >= usize::from(MicroOp::MAX_DEP) {
+            return Err(GpmError::InvalidConfig {
+                parameter: "rob_size",
+                reason: format!(
+                    "{} is not below the largest dependency distance {}",
+                    self.rob_size,
+                    MicroOp::MAX_DEP
+                ),
             });
         }
         for (name, count) in [
@@ -228,6 +240,23 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn validate_caps_rob_below_the_distance_limit() {
+        let mut c = CoreConfig::power4();
+        c.rob_size = usize::from(MicroOp::MAX_DEP) - 1;
+        assert!(c.validate().is_ok());
+        for rob_size in [usize::from(MicroOp::MAX_DEP), usize::MAX] {
+            c.rob_size = rob_size;
+            assert!(matches!(
+                c.validate(),
+                Err(GpmError::InvalidConfig {
+                    parameter: "rob_size",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

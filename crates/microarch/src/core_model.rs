@@ -320,14 +320,15 @@ impl Engine {
         stats: &mut IntervalStats,
     ) {
         // --- Instruction fetch: one L1I access per new code block. ---
-        let fetch_block = op.code_addr >> self.l1i_block_shift;
+        let code_addr = u64::from(op.code_addr());
+        let fetch_block = code_addr >> self.l1i_block_shift;
         if fetch_block != self.last_fetch_block {
             self.last_fetch_block = fetch_block;
             stats.l1i_accesses += 1;
-            if self.l1i.access(op.code_addr).is_miss() {
+            if self.l1i.access(code_addr).is_miss() {
                 stats.l1i_misses += 1;
                 let now_ns = self.cur_cycle as f64 * self.ns_per_cycle;
-                let (lat_ns, l2_hit) = memory.access_kind(op.code_addr, now_ns, AccessKind::Fetch);
+                let (lat_ns, l2_hit) = memory.access_kind(code_addr, now_ns, AccessKind::Fetch);
                 stats.l2_accesses += 1;
                 if !l2_hit {
                     stats.l2_misses += 1;
@@ -365,7 +366,7 @@ impl Engine {
         // predictor: a dep of 0 stands in for "none" and resolves to the
         // already-read oldest slot.
         let mut ready = self.cur_cycle;
-        let dep = op.dep.map_or(0, |d| d as usize);
+        let dep = op.dep().map_or(0, usize::from);
         let valid = (dep > 0) & (dep as u64 <= self.op_index) & (dep <= self.rob_size);
         let dep = if valid { dep } else { 0 };
         // (op_index - dep) % rob_size, via the wrapping cursor.
@@ -379,7 +380,7 @@ impl Engine {
 
         // --- Execute. ---
         stats.instructions += 1;
-        let (class, latency, mispredicted) = match op.kind {
+        let (class, latency, mispredicted) = match op.kind() {
             OpKind::IntAlu => {
                 stats.int_ops += 1;
                 (FuClass::Fxu, self.fxu_latency, false)
@@ -846,7 +847,7 @@ mod tests {
     fn icache_fetch_counted_per_block() {
         // Sequential code: one L1I access per 128-byte block (32 ops at 4 B).
         struct Sequential {
-            pc: u64,
+            pc: u32,
         }
         impl InstructionSource for Sequential {
             fn next_op(&mut self) -> MicroOp {

@@ -29,103 +29,174 @@ pub enum OpKind {
     },
 }
 
-/// One micro-operation of a synthetic instruction stream.
+/// One micro-operation of a synthetic instruction stream, packed into 16
+/// bytes.
 ///
-/// `dep` is the distance (in dynamically preceding micro-ops) to the
-/// producer of this op's source operand, if any; it is how workload
-/// generators express ILP. A chain of `dep = Some(1)` loads is a
+/// The distance [`dep`](Self::dep) counts dynamically preceding micro-ops
+/// back to the producer of this op's source operand, if any; it is how
+/// workload generators express ILP. A chain of `dep = Some(1)` loads is a
 /// pointer-chase with no memory-level parallelism; independent ops
 /// (`dep = None`) saturate the dispatch width.
 ///
-/// `code_addr` is the address of the instruction itself, used for L1I
-/// modelling (one access per cache block of straight-line code).
+/// [`code_addr`](Self::code_addr) is the address of the instruction itself,
+/// used for L1I modelling (one access per cache block of straight-line
+/// code).
+///
+/// # Layout
+///
+/// An op is the view [`kind`](Self::kind) returns, stored as one `u64`
+/// (the load/store data address or the branch pc, 0 for ALU ops), a `u32`
+/// code address, a `u16` distance and a tag byte holding the kind, the
+/// branch outcome and whether a distance is present. The narrowed fields
+/// are narrowed in the constructors' types, so every op that can be built
+/// reads back exactly: code addresses are at most [`u32::MAX`] and
+/// distances at most [`MicroOp::MAX_DEP`]. `Some(0)` and `None` stay
+/// distinct. Replaying a recorded stream costs 16 bytes per op.
 ///
 /// # Examples
 ///
 /// ```
-/// use gpm_microarch::MicroOp;
+/// use gpm_microarch::{MicroOp, OpKind};
 ///
 /// let op = MicroOp::load(0x1000, Some(1)).at_code(0x400);
 /// assert!(op.is_memory());
+/// assert_eq!(op.kind(), OpKind::Load { addr: 0x1000 });
+/// assert_eq!((op.dep(), op.code_addr()), (Some(1), 0x400));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroOp {
-    /// Operation class.
-    pub kind: OpKind,
-    /// Distance back to the producing op, or `None` when independent.
-    pub dep: Option<u32>,
+    /// Data address of a load or store, pc of a branch, 0 otherwise.
+    addr: u64,
     /// Address of the instruction word (for I-cache modelling).
-    pub code_addr: u64,
+    code_addr: u32,
+    /// Distance back to the producing op; 0 when `TAG_DEP` is clear.
+    dep: u16,
+    /// Kind in the low three bits, plus `TAG_TAKEN` and `TAG_DEP`.
+    tag: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<MicroOp>() == 16);
+
+const KIND_INT: u8 = 0;
+const KIND_FP: u8 = 1;
+const KIND_LOAD: u8 = 2;
+const KIND_STORE: u8 = 3;
+const KIND_BRANCH: u8 = 4;
+const KIND_MASK: u8 = 0b111;
+/// The branch was taken.
+const TAG_TAKEN: u8 = 1 << 3;
+/// `dep` holds a distance.
+const TAG_DEP: u8 = 1 << 4;
+
 impl MicroOp {
+    /// The largest representable dependency distance. Generators saturate
+    /// longer distances to it, and [`CoreConfig::validate`](crate::CoreConfig::validate)
+    /// keeps the reorder window strictly below it, so a saturated distance
+    /// always points outside the window, as the exact one would.
+    pub const MAX_DEP: u16 = u16::MAX;
+
+    const fn new(kind: u8, addr: u64, dep: Option<u16>) -> Self {
+        let (dep, tag) = match dep {
+            Some(d) => (d, kind | TAG_DEP),
+            None => (0, kind),
+        };
+        Self {
+            addr,
+            code_addr: 0,
+            dep,
+            tag,
+        }
+    }
+
     /// Creates a fixed-point ALU op.
     #[must_use]
-    pub const fn int_alu(dep: Option<u32>) -> Self {
-        Self {
-            kind: OpKind::IntAlu,
-            dep,
-            code_addr: 0,
-        }
+    pub const fn int_alu(dep: Option<u16>) -> Self {
+        Self::new(KIND_INT, 0, dep)
     }
 
     /// Creates a floating-point op.
     #[must_use]
-    pub const fn fp_alu(dep: Option<u32>) -> Self {
-        Self {
-            kind: OpKind::FpAlu,
-            dep,
-            code_addr: 0,
-        }
+    pub const fn fp_alu(dep: Option<u16>) -> Self {
+        Self::new(KIND_FP, 0, dep)
     }
 
     /// Creates a load from `addr`.
     #[must_use]
-    pub const fn load(addr: u64, dep: Option<u32>) -> Self {
-        Self {
-            kind: OpKind::Load { addr },
-            dep,
-            code_addr: 0,
-        }
+    pub const fn load(addr: u64, dep: Option<u16>) -> Self {
+        Self::new(KIND_LOAD, addr, dep)
     }
 
     /// Creates a store to `addr`.
     #[must_use]
-    pub const fn store(addr: u64, dep: Option<u32>) -> Self {
-        Self {
-            kind: OpKind::Store { addr },
-            dep,
-            code_addr: 0,
-        }
+    pub const fn store(addr: u64, dep: Option<u16>) -> Self {
+        Self::new(KIND_STORE, addr, dep)
     }
 
     /// Creates a conditional branch at `pc` with the given outcome.
     #[must_use]
     pub const fn branch(pc: u64, taken: bool) -> Self {
-        Self {
-            kind: OpKind::Branch { pc, taken },
-            dep: None,
-            code_addr: 0,
+        let op = Self::new(KIND_BRANCH, pc, None);
+        if taken {
+            Self {
+                tag: op.tag | TAG_TAKEN,
+                ..op
+            }
+        } else {
+            op
         }
     }
 
     /// Sets the instruction's own code address (builder-style).
     #[must_use]
-    pub const fn at_code(mut self, code_addr: u64) -> Self {
+    pub const fn at_code(mut self, code_addr: u32) -> Self {
         self.code_addr = code_addr;
         self
+    }
+
+    /// The operation class, with its address and branch outcome.
+    #[inline]
+    #[must_use]
+    pub const fn kind(&self) -> OpKind {
+        match self.tag & KIND_MASK {
+            KIND_INT => OpKind::IntAlu,
+            KIND_FP => OpKind::FpAlu,
+            KIND_LOAD => OpKind::Load { addr: self.addr },
+            KIND_STORE => OpKind::Store { addr: self.addr },
+            _ => OpKind::Branch {
+                pc: self.addr,
+                taken: self.tag & TAG_TAKEN != 0,
+            },
+        }
+    }
+
+    /// Distance back to the producing op, or `None` when independent.
+    #[inline]
+    #[must_use]
+    pub const fn dep(&self) -> Option<u16> {
+        if self.tag & TAG_DEP != 0 {
+            Some(self.dep)
+        } else {
+            None
+        }
+    }
+
+    /// Address of the instruction word.
+    #[inline]
+    #[must_use]
+    pub const fn code_addr(&self) -> u32 {
+        self.code_addr
     }
 
     /// Returns `true` for loads and stores.
     #[must_use]
     pub const fn is_memory(&self) -> bool {
-        matches!(self.kind, OpKind::Load { .. } | OpKind::Store { .. })
+        matches!(self.tag & KIND_MASK, KIND_LOAD | KIND_STORE)
     }
 
     /// Returns `true` for branches.
     #[must_use]
     pub const fn is_branch(&self) -> bool {
-        matches!(self.kind, OpKind::Branch { .. })
+        self.tag & KIND_MASK == KIND_BRANCH
     }
 }
 
@@ -231,18 +302,74 @@ mod tests {
 
     #[test]
     fn constructors() {
-        assert_eq!(MicroOp::int_alu(None).kind, OpKind::IntAlu);
-        assert_eq!(MicroOp::fp_alu(Some(2)).dep, Some(2));
+        assert_eq!(MicroOp::int_alu(None).kind(), OpKind::IntAlu);
+        assert_eq!(MicroOp::fp_alu(Some(2)).dep(), Some(2));
         assert!(MicroOp::load(8, None).is_memory());
         assert!(MicroOp::store(8, None).is_memory());
         assert!(MicroOp::branch(0x10, true).is_branch());
         assert!(!MicroOp::int_alu(None).is_memory());
+        assert!(!MicroOp::store(8, None).is_branch());
     }
 
     #[test]
     fn at_code_sets_address() {
         let op = MicroOp::int_alu(None).at_code(0xdead);
-        assert_eq!(op.code_addr, 0xdead);
+        assert_eq!(op.code_addr(), 0xdead);
+    }
+
+    #[test]
+    fn every_field_round_trips() {
+        let deps = [None, Some(0), Some(1), Some(MicroOp::MAX_DEP)];
+        let addrs = [0, 0x40, u64::MAX];
+        let codes = [0, 0x40_0400, u32::MAX];
+        for dep in deps {
+            for addr in addrs {
+                for code in codes {
+                    let ops = [
+                        (MicroOp::int_alu(dep), OpKind::IntAlu, dep),
+                        (MicroOp::fp_alu(dep), OpKind::FpAlu, dep),
+                        (MicroOp::load(addr, dep), OpKind::Load { addr }, dep),
+                        (MicroOp::store(addr, dep), OpKind::Store { addr }, dep),
+                        (
+                            MicroOp::branch(addr, true),
+                            OpKind::Branch {
+                                pc: addr,
+                                taken: true,
+                            },
+                            None,
+                        ),
+                        (
+                            MicroOp::branch(addr, false),
+                            OpKind::Branch {
+                                pc: addr,
+                                taken: false,
+                            },
+                            None,
+                        ),
+                    ];
+                    for (op, kind, dep) in ops {
+                        let op = op.at_code(code);
+                        assert_eq!(op.kind(), kind);
+                        assert_eq!(op.dep(), dep);
+                        assert_eq!(op.code_addr(), code);
+                        assert_eq!(
+                            op.is_memory(),
+                            matches!(kind, OpKind::Load { .. } | OpKind::Store { .. })
+                        );
+                        assert_eq!(op.is_branch(), matches!(kind, OpKind::Branch { .. }));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equality_follows_the_view() {
+        assert_ne!(MicroOp::int_alu(None), MicroOp::int_alu(Some(0)));
+        assert_ne!(MicroOp::load(8, None), MicroOp::store(8, None));
+        assert_ne!(MicroOp::branch(8, true), MicroOp::branch(8, false));
+        assert_ne!(MicroOp::int_alu(None), MicroOp::int_alu(None).at_code(4));
+        assert_eq!(MicroOp::fp_alu(Some(7)), MicroOp::fp_alu(Some(7)));
     }
 
     #[test]

@@ -41,9 +41,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 
 use gpm_core::{NodeDecision, NodeTelemetry, PowerBipsMatrices};
-use gpm_types::{
-    CoreId, Fingerprinter, GpmError, ModeCombination, PowerMode, Result, Watts, INLINE_MODES,
-};
+use gpm_types::{Fingerprinter, GpmError, ModeCombination, PowerMode, Result, Watts, INLINE_MODES};
 
 /// Protocol version this build speaks; frames carrying any other version
 /// byte are rejected.
@@ -310,27 +308,29 @@ fn push_frame(out: &mut Vec<u8>, kind: u8, body: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// Appends one encoded `Telemetry` frame to `out`.
+///
+/// The frame's length is known up front, so `out` grows once. The
+/// matrices' stacked rows (power rows, then BIPS rows, each in
+/// [`PowerMode::ALL`] order) already are the wire layout and are written
+/// cell by cell into place.
 pub fn encode_telemetry(telemetry: &NodeTelemetry, out: &mut Vec<u8>) {
-    push_frame(out, KIND_TELEMETRY, |out| {
-        out.extend_from_slice(&telemetry.node.to_le_bytes());
-        out.extend_from_slice(&telemetry.tick.to_le_bytes());
-        out.extend_from_slice(&telemetry.budget.value().to_le_bytes());
-        let cores = telemetry.matrices.cores();
-        out.extend_from_slice(&(cores as u32).to_le_bytes());
-        push_modes(out, &telemetry.current);
-        for core in 0..cores {
-            for mode in PowerMode::ALL {
-                let watts = telemetry.matrices.power(CoreId::new(core), mode);
-                out.extend_from_slice(&watts.value().to_le_bytes());
-            }
-        }
-        for core in 0..cores {
-            for mode in PowerMode::ALL {
-                let bips = telemetry.matrices.bips(CoreId::new(core), mode);
-                out.extend_from_slice(&bips.value().to_le_bytes());
-            }
-        }
-    });
+    let cells = telemetry.matrices.stacked_rows().as_flattened();
+    let modes = telemetry.current.as_slice().len();
+    // version, kind, node, tick, budget, cores, modes, cells.
+    let payload_len = 2 + 8 + 8 + 8 + 4 + modes + 8 * cells.len();
+    out.reserve(4 + payload_len);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    out.extend_from_slice(&[WIRE_VERSION, KIND_TELEMETRY]);
+    out.extend_from_slice(&telemetry.node.to_le_bytes());
+    out.extend_from_slice(&telemetry.tick.to_le_bytes());
+    out.extend_from_slice(&telemetry.budget.value().to_le_bytes());
+    out.extend_from_slice(&(telemetry.matrices.cores() as u32).to_le_bytes());
+    push_modes(out, &telemetry.current);
+    let at = out.len();
+    out.resize(at + 8 * cells.len(), 0);
+    for (bytes, cell) in out[at..].chunks_exact_mut(8).zip(cells) {
+        bytes.copy_from_slice(&cell.to_le_bytes());
+    }
 }
 
 /// Appends one encoded `Decision` frame to `out`.

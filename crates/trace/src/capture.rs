@@ -13,18 +13,11 @@ use gpm_workloads::{SharedTape, SpecBenchmark, WorkloadCombo};
 
 use crate::{BenchmarkTraces, ModeTrace, TraceSample};
 
-/// Default cap (in ops) on the shared instruction tape, ~2 GB of buffered
+/// Cap (in ops) on the shared instruction tape: 768 MB of 16-byte
 /// micro-ops. Captures whose worst-case op demand fits replay one shared
 /// recording across all mode runs; larger ones regenerate the stream per
-/// mode. Override with the `GPM_TAPE_MAX_OPS` environment variable.
+/// mode.
 const TAPE_MAX_OPS: u64 = 48_000_000;
-
-fn tape_max_ops() -> u64 {
-    std::env::var("GPM_TAPE_MAX_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(TAPE_MAX_OPS)
-}
 
 /// Which stepping engine drives the per-mode capture runs.
 ///
@@ -192,7 +185,7 @@ pub fn capture_benchmark(bench: SpecBenchmark, config: &CaptureConfig) -> Result
     // plus warm-up consumption (bounded by dispatch width × warm-up cycles)
     // plus one delta interval of run-cycle overshoot.
     let worst_case_ops = margin_of(region) + config.warmup_cycles.saturating_mul(8) + 2_000_000;
-    let (region, traces) = if worst_case_ops <= tape_max_ops() {
+    let (region, traces) = if worst_case_ops <= TAPE_MAX_OPS {
         // Reserve for the common consumption (the margined target plus
         // typical warm-up drain); rare overshoot just grows the vec.
         let hint = (margin_of(region) + 600_000) as usize;

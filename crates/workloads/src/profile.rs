@@ -4,6 +4,7 @@
 use gpm_types::{GpmError, Result};
 use serde::{Deserialize, Serialize};
 
+use crate::stream::last_code_address;
 use crate::WorkloadStream;
 
 /// SPEC suite of a benchmark (Table 2 annotates each combo with INT/FP).
@@ -213,8 +214,9 @@ impl BenchmarkProfile {
     ///
     /// # Errors
     ///
-    /// Returns [`GpmError::InvalidConfig`] when any fraction is out of range
-    /// or any size is zero.
+    /// Returns [`GpmError::InvalidConfig`] when any fraction is out of range,
+    /// any size is zero, or the code layout reaches past the 32-bit code
+    /// addresses a [`MicroOp`](gpm_microarch::MicroOp) holds.
     pub fn validate(&self) -> Result<()> {
         self.mix.validate()?;
         if self.memory.hot + self.memory.warm > 1.0 + 1e-9 {
@@ -249,6 +251,13 @@ impl BenchmarkProfile {
             return Err(GpmError::InvalidConfig {
                 parameter: "total_instructions",
                 reason: "must be non-zero".into(),
+            });
+        }
+        let last_code = last_code_address(&self.code);
+        if last_code > u64::from(u32::MAX) {
+            return Err(GpmError::InvalidConfig {
+                parameter: "code",
+                reason: format!("layout reaches code address {last_code:#x}, past 32 bits"),
             });
         }
         Ok(())
@@ -909,6 +918,33 @@ mod tests {
         let mut p = SpecBenchmark::Gcc.profile();
         p.total_instructions = 0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_code_layout_past_32_bits() {
+        let code_err = |p: &BenchmarkProfile| {
+            matches!(
+                p.validate(),
+                Err(GpmError::InvalidConfig {
+                    parameter: "code",
+                    ..
+                })
+            )
+        };
+        // 0x40_0000 + 32_735 * 0x2_0000 + 32_767 * 4 = 0xffff_fffc.
+        let mut p = SpecBenchmark::Gcc.profile();
+        p.code.regions = 32_736;
+        p.code.loop_body_ops = 32_768;
+        assert!(p.validate().is_ok());
+        p.code.loop_body_ops = 32_769;
+        assert!(code_err(&p));
+        p.code.loop_body_ops = 32_768;
+        p.code.regions = 32_737;
+        assert!(code_err(&p));
+        p.code.regions = u32::MAX;
+        p.code.loop_body_ops = u32::MAX;
+        assert!(code_err(&p));
+        assert!(p.stream().is_err());
     }
 
     #[test]

@@ -1,18 +1,28 @@
 //! The deterministic synthetic instruction-stream generator.
 
-use gpm_microarch::{InstructionSource, MicroOp};
+use gpm_microarch::{InstructionSource, MicroOp, OpKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::BenchmarkProfile;
+use crate::{BenchmarkProfile, CodeProfile};
 
 /// Base of the synthetic code address space.
-const CODE_BASE: u64 = 0x0040_0000;
+const CODE_BASE: u32 = 0x0040_0000;
 /// Separation between the code regions of a program.
-const CODE_REGION_STRIDE: u64 = 0x2_0000;
+const CODE_REGION_STRIDE: u32 = 0x2_0000;
 /// Offsets of the three data regions inside a core's address slice,
 /// indexed hot/warm/cold.
 const REGION_BASES: [u64; 3] = [0x1000_0000, 0x2000_0000, 0x4000_0000];
+
+/// The highest code address a stream with `code`'s layout generates: the
+/// last op of the last region's loop body. A [`MicroOp`] holds a 32-bit
+/// code address, so profiles whose layout reaches past [`u32::MAX`] fail
+/// validation.
+pub(crate) fn last_code_address(code: &CodeProfile) -> u64 {
+    u64::from(CODE_BASE)
+        + u64::from(code.regions.max(1) - 1) * u64::from(CODE_REGION_STRIDE)
+        + u64::from(code.loop_body_ops.max(1) - 1) * 4
+}
 
 /// Converts a probability threshold to the integer domain of the RNG's
 /// 53-bit mantissa draws.
@@ -63,7 +73,9 @@ pub struct WorkloadStream {
     rng: SmallRng,
     addr_base: u64,
     instr_index: u64,
-    ops_since_load: u32,
+    /// Distance back to the most recent load (0 = none yet), saturating
+    /// at [`MicroOp::MAX_DEP`].
+    ops_since_load: u16,
     // Sequential sweep cursors per data region (spatial locality),
     // indexed hot/warm/cold like [`REGION_BASES`].
     region_ptrs: [u64; 3],
@@ -74,7 +86,7 @@ pub struct WorkloadStream {
     /// `instr_index % phases.period_instructions`, maintained incrementally.
     phase_pos: u64,
     /// `CODE_BASE + region * CODE_REGION_STRIDE`, updated on region change.
-    region_code_base: u64,
+    region_code_base: u32,
 }
 
 /// Hot-path constants derived from the profile once at construction.
@@ -259,9 +271,10 @@ impl WorkloadStream {
 
     /// Advances the synthetic code layout and returns this op's code
     /// address. The counters wrap by comparison instead of `%`, and the
-    /// region's code base is cached across ops.
+    /// region's code base is cached across ops. Validation bounds the
+    /// layout by [`last_code_address`], so the sums fit in `u32`.
     #[inline]
-    fn code_address(&mut self) -> u64 {
+    fn code_address(&mut self) -> u32 {
         if self.ops_in_region >= self.pre.region_residency_ops {
             self.ops_in_region = 0;
             self.op_in_loop = 0;
@@ -269,14 +282,14 @@ impl WorkloadStream {
             if self.region == self.pre.regions {
                 self.region = 0;
             }
-            self.region_code_base = CODE_BASE + u64::from(self.region) * CODE_REGION_STRIDE;
+            self.region_code_base = CODE_BASE + self.region * CODE_REGION_STRIDE;
         }
         self.ops_in_region += 1;
         self.op_in_loop += 1;
         if self.op_in_loop == self.pre.loop_body_ops {
             self.op_in_loop = 0;
         }
-        self.region_code_base + u64::from(self.op_in_loop) * 4
+        self.region_code_base + self.op_in_loop * 4
     }
 
     /// Rolls a generic dependency on a recent producer. Half of the
@@ -284,15 +297,18 @@ impl WorkloadStream {
     /// load-to-use chains dominate real integer code. Distances are clamped
     /// so a dependency never points before the start of the stream.
     #[inline]
-    fn generic_dep(&mut self) -> Option<u32> {
+    fn generic_dep(&mut self) -> Option<u16> {
         if self.instr_index == 0 || draw53(&mut self.rng) >= self.pre.dep_probability {
             return None;
         }
         if (1..=4).contains(&self.ops_since_load) && self.rng.gen::<bool>() {
             Some(self.ops_since_load)
         } else {
+            // Drawn as `u32`, which fixes how the RNG is consumed; the
+            // distance is at most 3.
             let max_distance = self.instr_index.min(3) as u32;
-            Some(self.rng.gen_range(1..=max_distance))
+            let distance: u32 = self.rng.gen_range(1..=max_distance);
+            Some(distance as u16)
         }
     }
 }
@@ -316,7 +332,7 @@ impl InstructionSource for WorkloadStream {
             MicroOp::store(addr, None)
         } else if roll < self.pre.t_branch {
             let site = self.rng.gen_range(0..self.pre.branch_sites);
-            let pc = self.region_code_base + 0x1_0000 + u64::from(site) * 32;
+            let pc = u64::from(self.region_code_base) + 0x1_0000 + u64::from(site) * 32;
             let taken = if draw53(&mut self.rng) < self.pre.branch_random_fraction {
                 draw53(&mut self.rng) < self.pre.branch_taken_bias
             } else {
@@ -329,7 +345,7 @@ impl InstructionSource for WorkloadStream {
             MicroOp::int_alu(self.generic_dep())
         };
 
-        self.ops_since_load = if matches!(op.kind, gpm_microarch::OpKind::Load { .. }) {
+        self.ops_since_load = if matches!(op.kind(), OpKind::Load { .. }) {
             1
         } else if self.ops_since_load > 0 {
             self.ops_since_load.saturating_add(1)
@@ -360,13 +376,12 @@ impl InstructionSource for WorkloadStream {
 mod tests {
     use super::*;
     use crate::SpecBenchmark;
-    use gpm_microarch::OpKind;
 
     fn count_kinds(bench: SpecBenchmark, n: usize) -> (f64, f64, f64, f64, f64) {
         let mut s = bench.stream();
         let (mut int_n, mut fp, mut ld, mut st, mut br) = (0, 0, 0, 0, 0);
         for _ in 0..n {
-            match s.next_op().kind {
+            match s.next_op().kind() {
                 OpKind::IntAlu => int_n += 1,
                 OpKind::FpAlu => fp += 1,
                 OpKind::Load { .. } => ld += 1,
@@ -420,7 +435,7 @@ mod tests {
         let mut s = p.stream_with(base, 0).unwrap();
         let mut seen_mem = 0;
         for _ in 0..10_000 {
-            match s.next_op().kind {
+            match s.next_op().kind() {
                 OpKind::Load { addr } | OpKind::Store { addr } => {
                     assert!(addr >= base, "address {addr:#x} below base");
                     seen_mem += 1;
@@ -458,7 +473,7 @@ mod tests {
         for i in 0..period * 2 {
             let pos = i % period;
             let phase_idx = usize::from((pos as f64) < p.phases.memory_duty * period as f64);
-            if let OpKind::Load { addr } | OpKind::Store { addr } = s.next_op().kind {
+            if let OpKind::Load { addr } | OpKind::Store { addr } = s.next_op().kind() {
                 mem_in_phase[phase_idx] += 1;
                 if addr >= REGION_BASES[2] {
                     cold_in_phase[phase_idx] += 1;
@@ -480,9 +495,9 @@ mod tests {
         let mut loads = 0;
         for _ in 0..50_000 {
             let op = s.next_op();
-            if let OpKind::Load { .. } = op.kind {
+            if let OpKind::Load { .. } = op.kind() {
                 loads += 1;
-                if op.dep.is_some() {
+                if op.dep().is_some() {
                     chased += 1;
                 }
             }
@@ -497,10 +512,57 @@ mod tests {
         let mut s = SpecBenchmark::Sixtrack.stream();
         for _ in 0..20_000 {
             let op = s.next_op();
-            if matches!(op.kind, OpKind::Load { .. }) {
-                assert!(op.dep.is_none());
+            if matches!(op.kind(), OpKind::Load { .. }) {
+                assert!(op.dep().is_none());
             }
         }
+    }
+
+    #[test]
+    fn last_code_address_is_the_highest_generated() {
+        let mut p = SpecBenchmark::Gcc.profile();
+        p.code.regions = 3;
+        p.code.loop_body_ops = 5;
+        p.code.region_residency_ops = 7;
+        let mut s = p.stream().unwrap();
+        let highest = (0..1000).map(|_| s.next_op().code_addr()).max();
+        assert_eq!(highest.map(u64::from), Some(last_code_address(&p.code)));
+    }
+
+    #[test]
+    fn long_load_distances_saturate() {
+        // Loads one op in 10^5, every one chasing the previous: gaps past
+        // `MAX_DEP` occur, and each chased distance is the exact gap up to
+        // that limit.
+        let mut p = SpecBenchmark::Mcf.profile();
+        p.mix.int_alu = 1.0 - 1e-5;
+        p.mix.fp_alu = 0.0;
+        p.mix.load = 1e-5;
+        p.mix.store = 0.0;
+        p.mix.branch = 0.0;
+        p.memory.pointer_chase = 1.0;
+        let mut s = p.stream().unwrap();
+        let mut since_load: Option<u64> = None;
+        let mut saturated = 0;
+        let mut exact = 0;
+        for _ in 0..2_000_000 {
+            let op = s.next_op();
+            since_load = since_load.map(|d| d + 1);
+            if matches!(op.kind(), OpKind::Load { .. }) {
+                let want = since_load.map(|d| d.min(u64::from(MicroOp::MAX_DEP)));
+                assert_eq!(op.dep().map(u64::from), want);
+                match want {
+                    Some(d) if d == u64::from(MicroOp::MAX_DEP) => saturated += 1,
+                    Some(_) => exact += 1,
+                    None => {}
+                }
+                since_load = Some(0);
+            }
+        }
+        assert!(
+            saturated > 0 && exact > 0,
+            "{saturated} saturated, {exact} exact"
+        );
     }
 
     #[test]
@@ -509,8 +571,8 @@ mod tests {
         let mut s = p.stream().unwrap();
         for _ in 0..10_000 {
             let op = s.next_op();
-            assert!(op.code_addr >= CODE_BASE);
-            assert!(op.code_addr < CODE_BASE + u64::from(p.code.regions) * CODE_REGION_STRIDE);
+            assert!(op.code_addr() >= CODE_BASE);
+            assert!(op.code_addr() < CODE_BASE + p.code.regions * CODE_REGION_STRIDE);
         }
     }
 }

@@ -20,7 +20,7 @@
 //! run loops prefer — touches no lock at all: the tape's mutex is taken
 //! only when a cursor crosses into a block it has not cached (once per
 //! [`TAPE_BLOCK`] ops), where the block is generated if it does not exist
-//! yet.
+//! yet. A block is 1 MiB: [`MicroOp`] packs each op into 16 bytes.
 
 use std::sync::{Arc, Mutex};
 
@@ -28,9 +28,10 @@ use gpm_microarch::{InstructionSource, MicroOp};
 
 use crate::WorkloadStream;
 
-/// Ops per materialised tape block (~2.5 MiB): large enough that the
-/// once-per-block lock and `Arc` clone are invisible, small enough that
-/// generating a block ahead of demand is negligible against a full capture.
+/// Ops per materialised tape block (1 MiB of 16-byte ops): large enough
+/// that the once-per-block lock and `Arc` clone are invisible, small enough
+/// that generating a block ahead of demand is negligible against a full
+/// capture.
 const TAPE_BLOCK: usize = 65_536;
 
 /// Retired tape blocks kept alive for reuse. A full capture tape runs to
@@ -41,7 +42,7 @@ const TAPE_BLOCK: usize = 65_536;
 /// cost per process.
 static POOL: Mutex<Vec<Vec<MicroOp>>> = Mutex::new(Vec::new());
 
-/// Blocks retained in [`POOL`] (~650 MiB): roughly two full capture tapes,
+/// Blocks retained in [`POOL`] (256 MiB): roughly two full capture tapes,
 /// matching the one-live-one-retiring pattern of sequential captures.
 const POOL_LIMIT: usize = 256;
 
@@ -53,6 +54,10 @@ fn pooled_block() -> Vec<MicroOp> {
 }
 
 /// A lazily-materialised, shareable recording of a [`WorkloadStream`].
+///
+/// Ops are recorded as the stream's own 16-byte [`MicroOp`]s, with no
+/// separate tape format, so every reader borrows them as the core steps
+/// them.
 ///
 /// # Examples
 ///

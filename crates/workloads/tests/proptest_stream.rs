@@ -34,7 +34,7 @@ proptest! {
             let mut s = p.stream_with(base * stride, base).unwrap();
             let mut addrs = Vec::new();
             for _ in 0..2000 {
-                if let OpKind::Load { addr } | OpKind::Store { addr } = s.next_op().kind {
+                if let OpKind::Load { addr } | OpKind::Store { addr } = s.next_op().kind() {
                     addrs.push(addr);
                 }
             }
@@ -57,8 +57,8 @@ proptest! {
         let mut s = bench_from(idx).stream();
         for i in 0u64..20_000 {
             let op = s.next_op();
-            if let Some(dep) = op.dep {
-                prop_assert!(dep as u64 <= i.max(1), "op {i} depends {dep} back");
+            if let Some(dep) = op.dep() {
+                prop_assert!(u64::from(dep) <= i.max(1), "op {i} depends {dep} back");
                 prop_assert!(dep > 0);
             }
         }
@@ -74,7 +74,7 @@ proptest! {
         let n = 100_000;
         let (mut loads, mut stores, mut branches) = (0u64, 0u64, 0u64);
         for _ in 0..n {
-            match s.next_op().kind {
+            match s.next_op().kind() {
                 OpKind::Load { .. } => loads += 1,
                 OpKind::Store { .. } => stores += 1,
                 OpKind::Branch { .. } => branches += 1,
