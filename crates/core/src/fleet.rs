@@ -26,18 +26,22 @@
 //!    transit, corrupted reports fail validation, and solver invocations
 //!    time out — all pure functions of `(seed, tick, node)`, so the fault
 //!    schedule is bit-identical for any pool width and across restores.
-//! 3. **Within-tick dedup.** Accepted reports are canonicalized to
-//!    [`QuantizedKey`]s; identical problems at identical budgets collapse
-//!    onto one leader per tick (first occurrence wins), so a
-//!    phase-aligned fleet costs one solve for thousands of nodes.
+//! 3. **Within-tick dedup.** Accepted reports group by the decision
+//!    cache's own problem identity, [`ProblemKey`], and their budget bits:
+//!    identical problems at identical budgets collapse onto one leader per
+//!    tick (first occurrence wins), so a phase-aligned fleet costs one
+//!    solve for thousands of nodes. A report is probed and confirmed
+//!    through its borrowed parts; only a problem new to the tick builds a
+//!    key, which shares the report's matrices rather than copying them.
 //! 4. **Memoized solve.** Leaders probe the cross-tick [`DecisionCache`]
-//!    at their budgets (for a flat-solved node one cached answer serves
-//!    every budget in its exact range, so a re-budgeted node usually
-//!    hits); residual misses fan out over the `gpm_par` pool — the flat
-//!    exact branch-and-bound up to [`FleetConfig::flat_core_limit`] cores,
-//!    [`HierMaxBips`] above — and are inserted back serially in miss
-//!    order, which keeps the cache's LRU state (and therefore every later
-//!    decision) independent of the pool width.
+//!    with their problem's key at their budgets (for a flat-solved node
+//!    one cached answer serves every budget in its exact range, so a
+//!    re-budgeted node usually hits); residual misses fan out over the
+//!    `gpm_par` pool — the flat exact branch-and-bound up to
+//!    [`FleetConfig::flat_core_limit`] cores, [`HierMaxBips`] above — and
+//!    are inserted back serially in miss order, which keeps the cache's
+//!    LRU state (and therefore every later decision) independent of the
+//!    pool width.
 //! 5. **Degraded-mode fallback.** With [`FleetConfig::degraded`] set, a
 //!    node whose report was dropped, invalidated or timed out still gets a
 //!    decision: its last successfully-issued assignment stepped down one
@@ -55,10 +59,10 @@
 //!    violation ticks force a whole-rack Eff2 clamp held 2 ticks, the hold
 //!    doubling per trip up to 32.
 //!
-//! Cache keys are exact bit patterns, so with no chaos/degraded/rack
-//! configuration the emitted decisions are bit-identical to solving every
-//! accepted report individually — and bit-identical to the engine before
-//! the fault-tolerance layer existed.
+//! Cache keys compare every input bit for bit, so with no
+//! chaos/degraded/rack configuration the emitted decisions are
+//! bit-identical to solving every accepted report individually — and
+//! bit-identical to the engine before the fault-tolerance layer existed.
 //!
 //! [`FleetFaultSession`]: gpm_faults::FleetFaultSession
 
@@ -67,12 +71,11 @@ use std::time::Instant;
 
 use gpm_faults::{CorruptField, FleetFaultPlan, FleetFaultSession, SensorStatus};
 use gpm_power::DvfsParams;
-use gpm_types::{
-    Fingerprinter, GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, QuantizedKeyBuilder,
-    Result, Watts,
-};
+use gpm_types::{GpmError, Micros, ModeCombination, PowerMode, Result, Watts};
 
-use crate::policy::{solver, CacheConfig, CacheSnapshot, HierMaxBips, Policy, PolicyContext};
+use crate::policy::{
+    solver, CacheConfig, CacheSnapshot, HierMaxBips, Policy, PolicyContext, ProblemKey, ProblemRef,
+};
 use crate::{DecisionCache, PowerBipsMatrices};
 
 /// Version tag stamped on every [`FleetCheckpoint`]; bumped whenever the
@@ -344,9 +347,10 @@ struct RackState {
 /// is safe, and it removes the default hasher's cost from the
 /// one-lookup-per-report hot path of the armed engine.
 ///
-/// Decision-cache keys hash through it too: a [`QuantizedKey`] feeds only
-/// its precomputed fingerprint, so the cache map and Phase B's dedup
-/// index each pay one finalizer round per probe, whatever the key length.
+/// Problem fingerprints hash through it too: the decision cache's index
+/// and Phase B's dedup index are keyed by a [`ProblemKey`]'s precomputed
+/// fingerprint, so each pays one finalizer round per probe, whatever the
+/// node's width.
 ///
 /// The same finalizer round is the fleet *shard* function (see
 /// [`node_shard`]): the service layer routes node ids to shard-pinned
@@ -515,8 +519,6 @@ pub struct FleetEngine {
     /// Phase B's dedup index, fingerprint → the tick's newest problem
     /// with that fingerprint; cleared every tick, its allocation kept.
     dedup: FingerprintMap,
-    /// Phase B's reusable key buffer.
-    key_scratch: QuantizedKeyBuilder,
 }
 
 impl FleetEngine {
@@ -571,7 +573,6 @@ impl FleetEngine {
             rack_state,
             next_tick: 0,
             dedup: FingerprintMap::default(),
-            key_scratch: QuantizedKeyBuilder::default(),
             config,
         })
     }
@@ -768,26 +769,19 @@ impl FleetEngine {
         }
 
         // Phase B — within-tick dedup on (problem, budget): group by the
-        // canonical problem and the budget's bit pattern, first
-        // occurrence leads. A report is probed by a fingerprint mixed from
-        // its matrices' stored fingerprint, its current modes and — unless
-        // the exact budget-interval rule leaves the budget out of the key
-        // — its budget bits. Problems sharing a fingerprint chain through
-        // `next`, and a match is confirmed against the problem's leader
-        // report: bit-identical cells (`same_cells`, one pointer compare
-        // when both share a decoder's interned storage), equal modes and,
-        // when the key holds it, equal budget bits. That is exactly
-        // `write_key` word equality, so only a problem new to the tick
-        // writes its key, stored once however many budgets it is asked
-        // at. A problem's groups chain through their own `next`. Group
-        // order (= first-occurrence order) drives every later cache
-        // access, so nothing depends on hash iteration order.
+        // decision cache's problem identity and the budget's bit pattern,
+        // first occurrence leads. Each report is probed by its borrowed
+        // problem's fingerprint; problems sharing a fingerprint chain
+        // through `next`, and a match is confirmed against the problem's
+        // key — one pointer compare for the cells when both share a
+        // decoder's interned storage. Only a problem new to the tick
+        // builds its key (sharing the report's matrices), once however
+        // many budgets it is asked at, and that key is what probes and
+        // fills the cache. A problem's groups chain through their own
+        // `next`. Group order (= first-occurrence order) drives every
+        // later cache access, so nothing depends on hash iteration order.
         struct TickProblem {
-            key: QuantizedKey,
-            /// Index into `batch` of the problem's first report.
-            leader: usize,
-            /// Whether the key leaves the budget out.
-            budget_free: bool,
+            key: ProblemKey,
             /// The head of the problem's group chain: its first group.
             groups: usize,
             /// The previous problem with the same fingerprint, or `NONE`.
@@ -810,34 +804,21 @@ impl FleetEngine {
         let mut group_of: Vec<usize> = Vec::with_capacity(accepted.len());
         for (a, &i) in accepted.iter().enumerate() {
             let report = &batch[i];
-            let ctx = PolicyContext {
-                current_modes: &report.current,
-                matrices: &report.matrices,
-                future: None,
-                budget: report.budget,
-                dvfs: &self.config.dvfs,
-                explore: self.config.explore,
-            };
             let exact = solved_exactly(&self.config, report);
-            let budget_free = DecisionCache::budget_free(&ctx, exact);
-            let fingerprint = problem_fingerprint(report, budget_free);
-            let mut p = self.dedup.get(&fingerprint).copied().unwrap_or(NONE);
-            while p != NONE {
-                let problem = &problems[p];
-                let leader = (&batch[problem.leader], problem.budget_free);
-                if same_problem(leader, (report, budget_free)) {
-                    break;
-                }
-                p = problem.next;
+            let probe = ProblemRef::new(&report_context(&self.config, report), exact);
+            let mut p = self
+                .dedup
+                .get(&probe.fingerprint())
+                .copied()
+                .unwrap_or(NONE);
+            while p != NONE && problems[p].key.parts() != probe {
+                p = problems[p].next;
             }
             if p == NONE {
                 p = problems.len();
-                let next = self.dedup.insert(fingerprint, p).unwrap_or(NONE);
-                DecisionCache::write_key(&mut self.key_scratch, &ctx, exact);
+                let next = self.dedup.insert(probe.fingerprint(), p).unwrap_or(NONE);
                 problems.push(TickProblem {
-                    key: self.key_scratch.to_key(),
-                    leader: i,
-                    budget_free,
+                    key: probe.to_key(),
                     groups: NONE,
                     next,
                 });
@@ -941,7 +922,6 @@ impl FleetEngine {
             self.stats.solver_us_spent += micros;
             self.cache.insert(
                 &problems[groups[g].problem].key,
-                &leader.matrices,
                 leader.budget,
                 combo.clone(),
             );
@@ -1401,34 +1381,16 @@ fn solved_exactly(config: &FleetConfig, report: &NodeTelemetry) -> bool {
     report.matrices.cores() <= config.flat_core_limit
 }
 
-/// Phase B's dedup probe for `report`: its matrices' stored fingerprint,
-/// its current modes and, unless the key is `budget_free`, its budget
-/// bits, mixed by the key fingerprint's [`Fingerprinter`]. Reports with
-/// equal `write_key` words always probe equal; the probe reads no cell.
-fn problem_fingerprint(report: &NodeTelemetry, budget_free: bool) -> u64 {
-    let mut fingerprint = Fingerprinter::new();
-    fingerprint.push(report.matrices.fingerprint());
-    for &mode in report.current.as_slice() {
-        fingerprint.push(mode.index() as u64);
+/// The solver inputs `report` poses under `config`.
+fn report_context<'a>(config: &'a FleetConfig, report: &'a NodeTelemetry) -> PolicyContext<'a> {
+    PolicyContext {
+        current_modes: &report.current,
+        matrices: &report.matrices,
+        future: None,
+        budget: report.budget,
+        dvfs: &config.dvfs,
+        explore: config.explore,
     }
-    if !budget_free {
-        fingerprint.push(report.budget.value().to_bits());
-    }
-    fingerprint.finish()
-}
-
-/// Whether two reports, each with whether its key is budget-free, pose
-/// the same Phase B problem: bit-identical cells, equal modes, and either
-/// both keys budget-free or equal budget bits. Exactly `write_key` word
-/// equality, without writing either key.
-fn same_problem(
-    (leader, leader_budget_free): (&NodeTelemetry, bool),
-    (report, budget_free): (&NodeTelemetry, bool),
-) -> bool {
-    leader_budget_free == budget_free
-        && leader.matrices.same_cells(&report.matrices)
-        && leader.current == report.current
-        && (budget_free || leader.budget.value().to_bits() == report.budget.value().to_bits())
 }
 
 /// The fleet's solver dispatch: flat exact branch-and-bound up to the
@@ -1445,14 +1407,7 @@ fn solve_report(config: &FleetConfig, report: &NodeTelemetry) -> ModeCombination
     } else {
         let mut hier = HierMaxBips::with_cluster_cores(config.cluster_cores)
             .expect("cluster width validated at engine construction");
-        hier.decide(&PolicyContext {
-            current_modes: &report.current,
-            matrices: &report.matrices,
-            future: None,
-            budget: report.budget,
-            dvfs: &config.dvfs,
-            explore: config.explore,
-        })
+        hier.decide(&report_context(config, report))
     }
 }
 
@@ -2240,12 +2195,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Phase B's probe-and-confirm identity is exactly `write_key`
-        /// word equality: for report pairs built on shared or separate
-        /// storage, differing in a `±0.0` or subnormal cell, a mode, the
-        /// budget or the width, on both sides of the flat solver limit.
+        /// Problem-key equality is exactly equality of the keys'
+        /// checkpoint words, and the words rebuild the same key: for
+        /// report pairs built on shared or separate storage, differing in
+        /// a `±0.0` or subnormal cell, a mode, the budget or the width, on
+        /// both sides of the flat solver limit.
         #[test]
-        fn phase_b_identity_is_write_key_equality(
+        fn problem_key_equality_is_word_equality(
             (cores_a, cores_b) in (1usize..=6, 1usize..=6),
             cells in prop::collection::vec(0usize..6, 36),
             modes in prop::collection::vec(0usize..3, 6),
@@ -2283,28 +2239,21 @@ mod tests {
             b.node = 1;
             b.budget = Watts::new(BUDGETS[budget_b]);
 
-            let probe = |report: &NodeTelemetry| {
-                let ctx = PolicyContext {
-                    current_modes: &report.current,
-                    matrices: &report.matrices,
-                    future: None,
-                    budget: report.budget,
-                    dvfs: &config.dvfs,
-                    explore: config.explore,
-                };
+            let key = |report: &NodeTelemetry| {
                 let exact = solved_exactly(&config, report);
-                let mut key = QuantizedKeyBuilder::default();
-                DecisionCache::write_key(&mut key, &ctx, exact);
-                let budget_free = DecisionCache::budget_free(&ctx, exact);
-                (key.finish(), budget_free, problem_fingerprint(report, budget_free))
+                ProblemKey::new(&report_context(&config, report), exact)
             };
-            let (key_a, free_a, probe_a) = probe(&a);
-            let (key_b, free_b, probe_b) = probe(&b);
-            let keys_equal = key_a.words() == key_b.words();
-            prop_assert_eq!(same_problem((&a, free_a), (&b, free_b)), keys_equal);
-            prop_assert_eq!(same_problem((&b, free_b), (&a, free_a)), keys_equal);
+            let (key_a, key_b) = (key(&a), key(&b));
+            let keys_equal = key_a.to_words() == key_b.to_words();
+            prop_assert_eq!(key_a == key_b, keys_equal);
+            prop_assert_eq!(key_b == key_a, keys_equal);
             if keys_equal {
-                prop_assert_eq!(probe_a, probe_b);
+                prop_assert_eq!(key_a.fingerprint(), key_b.fingerprint());
+            }
+            for key in [&key_a, &key_b] {
+                let back = ProblemKey::from_words(&key.to_words()).expect("a key's words parse");
+                prop_assert_eq!(&back, key);
+                prop_assert_eq!(back.fingerprint(), key.fingerprint());
             }
 
             // Through the engine: one group iff one key at one budget.

@@ -90,5 +90,5 @@ pub use policy::solver;
 pub use policy::{
     cluster_budgets, CacheConfig, CacheCounters, CacheSnapshot, CachedAnswer, CachedMaxBips,
     ChipWide, Constant, DecisionCache, GreedyMaxBips, HierMaxBips, MaxBips, MinPower, Oracle,
-    Policy, PolicyContext, Priority, PullHiPushLo, ThermalGuard,
+    Policy, PolicyContext, Priority, ProblemKey, PullHiPushLo, ThermalGuard,
 };

@@ -4,20 +4,24 @@
 //! The global manager re-solves the mode-assignment argmax every explore
 //! interval, but phase behaviour makes most intervals repeats: the same
 //! (power, BIPS) prediction matrix recurs whenever a workload revisits a
-//! phase, often under a different budget. [`DecisionCache`] canonicalizes
-//! each decision problem into a [`QuantizedKey`] (the bit pattern of every
-//! solver input) and memoizes the solved [`ModeCombination`]s in a
-//! bounded LRU.
+//! phase, often under a different budget. [`DecisionCache`] identifies
+//! each decision problem by a [`ProblemKey`] — the problem's shared
+//! [`PowerBipsMatrices`] (a reference-count bump, not a copy), the current
+//! [`ModeCombination`], the budget where it matters and the interval
+//! parameters — and memoizes the solved combinations in a bounded LRU.
+//! The fleet engine's within-tick dedup groups reports by the same key,
+//! so there is one definition of "the same problem".
 //!
 //! # Exactness
 //!
-//! Keys are the raw bit patterns of the inputs, so a hit can only occur
-//! for inputs bit-identical to a previous solve, the budget aside (see
-//! *Budget intervals* below) — and the branch-and-bound solver is a pure
-//! function of those inputs, so the cached answer equals what a fresh
-//! solve would return, bit for bit. Misses always run the real solver.
-//! [`CacheConfig::verify_hits`] re-solves every hit and asserts equality,
-//! an audit of that argument for tests.
+//! Two keys are equal only when their matrices hold bit-identical cells
+//! ([`PowerBipsMatrices::same_cells`]) and every other input is
+//! bit-identical too, the budget aside (see *Budget intervals* below) —
+//! and the branch-and-bound solver is a pure function of those inputs, so
+//! the cached answer equals what a fresh solve would return, bit for bit.
+//! Misses always run the real solver. [`CacheConfig::verify_hits`]
+//! re-solves every hit and asserts equality, an audit of that argument for
+//! tests.
 //!
 //! # Budget intervals
 //!
@@ -36,15 +40,24 @@
 //!
 //! The argument needs the exact solver and objectives that are never NaN
 //! (with a NaN objective the scan's first strict maximum depends on which
-//! candidates remain). A key therefore keeps its budget word — and its one
+//! candidates remain). A key therefore keeps its budget — and its one
 //! answer serves exactly that key — when the answer does not come from
 //! [`solver::solve`], or when the budget, the explore interval or the
 //! worst transition stall is not finite or the explore interval is not
 //! positive. A budget-free problem whose matrix cells are not all finite
 //! and non-negative gets answers that hold only at the budget they were
-//! solved at; the cells are checked once, when the problem enters the
-//! cache, so a lookup never scans them. The two key shapes are `7n + 5`
-//! and `7n + 6` words long for `n` cores, so they never collide.
+//! solved at; the matrices record that when they are built
+//! ([`PowerBipsMatrices::cells_valid`]), so no lookup scans a cell.
+//!
+//! # Checkpoint form
+//!
+//! A key's word list exists only as its serialization in a
+//! [`CacheSnapshot`], `{"words":[...]}`: the core count `n`; per core the
+//! bit patterns of its three power cells, then its three BIPS cells; one
+//! word per current mode; the budget's bits when the key keeps them; the
+//! explore interval's bits and three DVFS words. That is `7n + 5` words
+//! for a budget-free key and `7n + 6` for a budget-keyed one, and
+//! [`ProblemKey::from_words`] refuses anything else.
 //!
 //! # Determinism
 //!
@@ -59,9 +72,7 @@ use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
 use gpm_power::DvfsParams;
-use gpm_types::{
-    GpmError, Micros, ModeCombination, PowerMode, QuantizedKey, QuantizedKeyBuilder, Result, Watts,
-};
+use gpm_types::{Fingerprinter, GpmError, Micros, ModeCombination, PowerMode, Result, Watts};
 
 use crate::fleet::NodeIdHasher;
 use crate::PowerBipsMatrices;
@@ -71,10 +82,280 @@ use super::{solver, Policy, PolicyContext};
 /// Sentinel index for list and chain ends.
 const NIL: usize = usize::MAX;
 
+/// Words of a key after its modes and optional budget: the explore
+/// interval's bits, then `nominal_vdd`, `nominal_frequency` and
+/// `slew_rate_v_per_us`.
+const PARAMS: usize = 4;
+
 /// The problem index: fingerprint → newest problem with that fingerprint
 /// (problems sharing one chain through [`Problem::next`]). Hashed by one
-/// [`NodeIdHasher`] round; a match still compares every word.
+/// [`NodeIdHasher`] round; a match still compares the whole key.
 type ProblemMap = HashMap<u64, usize, BuildHasherDefault<NodeIdHasher>>;
+
+/// One decision problem's identity, borrowed from its inputs: the parts a
+/// [`ProblemKey`] owns, and their fingerprint. Probing with it builds no
+/// key, so the cache and the fleet tick build one only for a problem new
+/// to them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProblemRef<'a> {
+    matrices: &'a PowerBipsMatrices,
+    current: &'a ModeCombination,
+    /// The budget's bits, unless the budget-interval rule leaves it out.
+    budget: Option<u64>,
+    params: [u64; PARAMS],
+    fingerprint: u64,
+}
+
+impl<'a> ProblemRef<'a> {
+    /// The problem `ctx` poses. `exact` says whether the answer comes
+    /// from [`solver::solve`]; only then may the budget be left out (see
+    /// the module docs).
+    pub(crate) fn new(ctx: &PolicyContext<'a>, exact: bool) -> Self {
+        // The largest transition stall is Turbo ↔ Eff2's; if it is finite,
+        // so is every other.
+        let budget_free = exact
+            && ctx.budget.value().is_finite()
+            && ctx.explore.value().is_finite()
+            && ctx.explore.value() > 0.0
+            && ctx
+                .dvfs
+                .transition_time(PowerMode::Turbo, PowerMode::Eff2)
+                .value()
+                .is_finite();
+        let params = [
+            ctx.explore.value().to_bits(),
+            ctx.dvfs.nominal_vdd.value().to_bits(),
+            ctx.dvfs.nominal_frequency.value().to_bits(),
+            ctx.dvfs.slew_rate_v_per_us.to_bits(),
+        ];
+        let budget = (!budget_free).then(|| ctx.budget.value().to_bits());
+        Self::from_parts(ctx.matrices, ctx.current_modes, budget, params)
+    }
+
+    /// Fingerprints the parts: the matrices' stored fingerprint, then the
+    /// mode indices and the budget bits if kept. The parameter words are
+    /// compared but not mixed in: one cache or tick sees one explore
+    /// length and DVFS setting, so they would separate no problems and
+    /// cost every probe four more rounds.
+    fn from_parts(
+        matrices: &'a PowerBipsMatrices,
+        current: &'a ModeCombination,
+        budget: Option<u64>,
+        params: [u64; PARAMS],
+    ) -> Self {
+        let mut fingerprint = Fingerprinter::new();
+        fingerprint.push(matrices.fingerprint());
+        for &mode in current.as_slice() {
+            fingerprint.push(mode.index() as u64);
+        }
+        if let Some(budget) = budget {
+            fingerprint.push(budget);
+        }
+        Self {
+            matrices,
+            current,
+            budget,
+            params,
+            fingerprint: fingerprint.finish(),
+        }
+    }
+
+    /// The 64-bit fingerprint the problem is indexed by.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// An owned key for this problem: the matrices are shared, not copied.
+    pub(crate) fn to_key(self) -> ProblemKey {
+        ProblemKey {
+            matrices: self.matrices.clone(),
+            current: self.current.clone(),
+            budget: self.budget,
+            params: self.params,
+            fingerprint: self.fingerprint,
+        }
+    }
+}
+
+impl PartialEq for ProblemRef<'_> {
+    /// The one problem identity: equal fingerprints, budget and parameter
+    /// words and modes, and bit-identical cells — a pointer compare when
+    /// both share one matrix block. So `-0.0` and `0.0` cells differ and a
+    /// NaN cell matches the same NaN.
+    fn eq(&self, other: &Self) -> bool {
+        self.fingerprint == other.fingerprint
+            && self.budget == other.budget
+            && self.params == other.params
+            && self.current == other.current
+            && self.matrices.same_cells(other.matrices)
+    }
+}
+
+/// The decision cache's key: one decision problem, owned. It holds the
+/// problem's [`PowerBipsMatrices`] (sharing their storage), the current
+/// mode vector, the budget's bits unless the budget-interval rule leaves
+/// it out, and the explore and DVFS words, plus a fingerprint mixed once
+/// when the key is built.
+///
+/// Keys compare by fingerprint, then by every part, the cells by bit
+/// pattern. The key serializes as its checkpoint word list,
+/// `{"words":[...]}` (see the module docs); deserializing checks the
+/// layout and recomputes the fingerprint.
+///
+/// # Examples
+///
+/// ```
+/// use gpm_core::{PolicyContext, PowerBipsMatrices, ProblemKey};
+/// use gpm_power::DvfsParams;
+/// use gpm_types::{Micros, ModeCombination, PowerMode, Watts};
+///
+/// let matrices = PowerBipsMatrices::from_rows(vec![[20.0, 12.0, 7.0]], vec![[2.0, 1.7, 1.4]]);
+/// let current = ModeCombination::uniform(1, PowerMode::Turbo);
+/// let dvfs = DvfsParams::paper();
+/// let ctx = |budget| PolicyContext {
+///     current_modes: &current,
+///     matrices: &matrices,
+///     future: None,
+///     budget: Watts::new(budget),
+///     dvfs: &dvfs,
+///     explore: Micros::new(500.0),
+/// };
+/// // The exact solver's key leaves the budget out: 7n + 5 words.
+/// let key = ProblemKey::new(&ctx(15.0), true);
+/// assert_eq!(key, ProblemKey::new(&ctx(18.0), true));
+/// assert_eq!(key.to_words().len(), 12);
+/// assert_eq!(ProblemKey::from_words(&key.to_words())?, key);
+/// # Ok::<(), gpm_types::GpmError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct ProblemKey {
+    matrices: PowerBipsMatrices,
+    current: ModeCombination,
+    budget: Option<u64>,
+    params: [u64; PARAMS],
+    fingerprint: u64,
+}
+
+impl ProblemKey {
+    /// The key of the problem `ctx` poses. `exact` says whether the
+    /// answer comes from [`solver::solve`]; only then may the key leave
+    /// the budget out (see the module docs).
+    #[must_use]
+    pub fn new(ctx: &PolicyContext<'_>, exact: bool) -> Self {
+        ProblemRef::new(ctx, exact).to_key()
+    }
+
+    /// The 64-bit fingerprint computed when the key was built.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The key's parts, borrowed, for comparing with a probe.
+    pub(crate) fn parts(&self) -> ProblemRef<'_> {
+        ProblemRef {
+            matrices: &self.matrices,
+            current: &self.current,
+            budget: self.budget,
+            params: self.params,
+            fingerprint: self.fingerprint,
+        }
+    }
+
+    /// The key's checkpoint form (see the module docs).
+    #[must_use]
+    pub fn to_words(&self) -> Vec<u64> {
+        let cores = self.matrices.cores();
+        let mut words = Vec::with_capacity(7 * cores + 6);
+        words.push(cores as u64);
+        for (power, bips) in self
+            .matrices
+            .power_rows()
+            .iter()
+            .zip(self.matrices.bips_rows())
+        {
+            words.extend(power.iter().chain(bips).map(|cell| cell.to_bits()));
+        }
+        words.extend(self.current.as_slice().iter().map(|&m| m.index() as u64));
+        words.extend(self.budget);
+        words.extend(self.params);
+        words
+    }
+
+    /// Rebuilds a key from its checkpoint form.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpmError::InvalidConfig`] when the core count is zero,
+    /// the length is not `7n + 5` or `7n + 6` for `n` cores (or
+    /// overflows), or a mode word is not a mode index.
+    pub fn from_words(words: &[u64]) -> Result<Self> {
+        let invalid = |reason: String| GpmError::InvalidConfig {
+            parameter: "cache.snapshot",
+            reason,
+        };
+        let cores = match words.first() {
+            Some(&cores) if cores > 0 => cores,
+            _ => return Err(invalid("a problem key needs a positive core count".into())),
+        };
+        let budget_free_len = usize::try_from(cores)
+            .ok()
+            .and_then(|n| n.checked_mul(7)?.checked_add(5))
+            .ok_or_else(|| invalid(format!("a {cores}-core problem key is too long")))?;
+        let budget_keyed = match words.len().checked_sub(budget_free_len) {
+            Some(0) => false,
+            Some(1) => true,
+            _ => {
+                return Err(invalid(format!(
+                    "a {cores}-core problem key has {} words, not {budget_free_len} or {}",
+                    words.len(),
+                    budget_free_len + 1
+                )))
+            }
+        };
+        let n = cores as usize;
+        let (cells, rest) = words[1..].split_at(6 * n);
+        let (modes, rest) = rest.split_at(n);
+        let cell = |bits: &[u64]| [0, 1, 2].map(|i| f64::from_bits(bits[i]));
+        let power = cells.chunks_exact(6).map(cell);
+        let bips = cells.chunks_exact(6).map(|core| cell(&core[3..]));
+        let matrices = PowerBipsMatrices::from_stacked_rows(power.chain(bips).collect::<Vec<_>>());
+        let current = modes
+            .iter()
+            .map(|&word| {
+                usize::try_from(word)
+                    .ok()
+                    .and_then(PowerMode::from_index)
+                    .ok_or_else(|| invalid(format!("mode word {word} is not a mode index")))
+            })
+            .collect::<Result<ModeCombination>>()?;
+        let (budget, params) = rest.split_at(usize::from(budget_keyed));
+        let params: [u64; PARAMS] = params.try_into().expect("the length was checked");
+        Ok(ProblemRef::from_parts(&matrices, &current, budget.first().copied(), params).to_key())
+    }
+}
+
+impl PartialEq for ProblemKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for ProblemKey {}
+
+impl serde::Serialize for ProblemKey {
+    fn to_value(&self) -> serde::json::Value {
+        let words = serde::Serialize::to_value(&self.to_words());
+        serde::json::Value::Object(vec![("words".to_owned(), words)])
+    }
+}
+
+impl serde::Deserialize for ProblemKey {
+    fn from_value(value: &serde::json::Value) -> std::result::Result<Self, serde::json::Error> {
+        let words = <Vec<u64> as serde::Deserialize>::from_value(value.field("words")?)?;
+        Self::from_words(&words).map_err(|e| serde::json::Error::msg(e.to_string()))
+    }
+}
 
 /// Settings for a [`DecisionCache`]: capacity 4096 and verification off
 /// by default. Keys are always exact, so hits are bit-identical to fresh
@@ -106,7 +387,9 @@ pub struct CacheCounters {
     pub decisions_total: u64,
     /// Decisions answered from the memoized store.
     pub cache_hits: u64,
-    /// Decisions answered by within-tick deduplication (fleet engine only).
+    /// Always zero: nothing sets it. The fleet engine counts its
+    /// within-tick dedup hits in `FleetStats::dedup_hits`; the field stays
+    /// for the serialized layout.
     pub dedup_hits: u64,
     /// Estimated solver microseconds avoided (avoided solves × the mean
     /// measured solve time). Wall-clock derived, so informational — it
@@ -135,7 +418,7 @@ impl CacheCounters {
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CacheSnapshot {
     /// Every cached problem's key, in order of its first answer below.
-    pub problems: Vec<QuantizedKey>,
+    pub problems: Vec<ProblemKey>,
     /// Memoized answers, least-recently-used first.
     pub answers: Vec<CachedAnswer>,
     /// Accumulated hit/savings counters at snapshot time.
@@ -161,17 +444,11 @@ pub struct CachedAnswer {
     pub hi: Option<f64>,
 }
 
-/// One cached problem: its key, stored once, and its answers.
+/// One cached problem: its key, stored once, and its answers. A freed
+/// problem keeps its key until its index is reused.
 #[derive(Debug)]
 struct Problem {
-    key: QuantizedKey,
-    /// Whether the key carries the budget word, so its one answer serves
-    /// every lookup of the key.
-    budget_in_key: bool,
-    /// Whether answers widen to `[P(c*), B]`: a budget-free key whose
-    /// cells are all finite and non-negative. A budget-free answer that
-    /// does not widen holds at its own budget only.
-    widens: bool,
+    key: ProblemKey,
     /// Answer slots by ascending lower bound.
     answers: Vec<usize>,
     /// The next problem with the same fingerprint, or `NIL`.
@@ -189,9 +466,9 @@ struct Slot {
     next: usize,
 }
 
-/// A bounded LRU memo of solved mode-assignment problems, keyed on the
-/// canonical form of every solver input; one budget-free key serves every
-/// budget its answers cover.
+/// A bounded LRU memo of solved mode-assignment problems, keyed by
+/// [`ProblemKey`]; one budget-free key serves every budget its answers
+/// cover.
 ///
 /// # Examples
 ///
@@ -228,8 +505,6 @@ pub struct DecisionCache {
     slots: Vec<Slot>,
     head: usize,
     tail: usize,
-    /// [`solve`](Self::solve)'s reusable key buffer.
-    scratch: QuantizedKeyBuilder,
     counters: CacheCounters,
     solve_us_total: f64,
     solve_count: u64,
@@ -254,7 +529,6 @@ impl DecisionCache {
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
-            scratch: QuantizedKeyBuilder::default(),
             counters: CacheCounters::default(),
             solve_us_total: 0.0,
             solve_count: 0,
@@ -296,103 +570,26 @@ impl DecisionCache {
         }
     }
 
-    /// Canonicalizes one decision problem, answered by [`solver::solve`],
-    /// into its cache key: shape, the full power and BIPS matrices, the
-    /// current mode vector, the budget unless the budget-interval rule
-    /// applies (see the module docs), the explore length and the DVFS
-    /// fingerprint.
-    #[must_use]
-    pub fn key(
-        &self,
-        matrices: &PowerBipsMatrices,
-        current: &ModeCombination,
-        budget: Watts,
-        dvfs: &DvfsParams,
-        explore: Micros,
-    ) -> QuantizedKey {
-        let mut b = QuantizedKeyBuilder::with_capacity(7 * matrices.cores() + 6);
-        let ctx = PolicyContext {
-            current_modes: current,
-            matrices,
-            future: None,
-            budget,
-            dvfs,
-            explore,
-        };
-        Self::write_key(&mut b, &ctx, true);
-        b.finish()
-    }
-
-    /// [`key`](Self::key) into a reusable builder: clears `b` and pushes
-    /// the problem's canonical words, reading the matrix rows directly.
-    /// `exact` says whether the answer will come from [`solver::solve`];
-    /// only then may the key leave the budget out.
-    pub fn write_key(b: &mut QuantizedKeyBuilder, ctx: &PolicyContext<'_>, exact: bool) {
-        let budget_free = Self::budget_free(ctx, exact);
-        let matrices = ctx.matrices;
-        b.clear();
-        b.push_word(matrices.cores() as u64);
-        for (power, bips) in matrices.power_rows().iter().zip(matrices.bips_rows()) {
-            b.push_values(power);
-            b.push_values(bips);
-        }
-        for &mode in ctx.current_modes.as_slice() {
-            b.push_word(mode.index() as u64);
-        }
-        if !budget_free {
-            b.push_value(ctx.budget.value());
-        }
-        b.push_word(ctx.explore.value().to_bits());
-        b.push_word(ctx.dvfs.nominal_vdd.value().to_bits());
-        b.push_word(ctx.dvfs.nominal_frequency.value().to_bits());
-        b.push_word(ctx.dvfs.slew_rate_v_per_us.to_bits());
-    }
-
-    /// Whether [`write_key`](Self::write_key) leaves the budget out of
-    /// `ctx`'s key: the answer comes from [`solver::solve`] (`exact`) and
-    /// the budget-interval rule applies.
-    #[must_use]
-    pub(crate) fn budget_free(ctx: &PolicyContext<'_>, exact: bool) -> bool {
-        // The largest transition stall is Turbo ↔ Eff2's; if it is finite,
-        // so is every other. The cells are checked once per problem, when
-        // it enters the cache (`add_problem`), not on every lookup.
-        exact
-            && ctx.budget.value().is_finite()
-            && ctx.explore.value().is_finite()
-            && ctx.explore.value() > 0.0
-            && ctx
-                .dvfs
-                .transition_time(PowerMode::Turbo, PowerMode::Eff2)
-                .value()
-                .is_finite()
-    }
-
     /// Raw lookup: the memoized combination for `key` at `budget`
     /// (promoting it to most-recently-used), without touching the
     /// counters. The fleet engine uses this and accounts for hits itself.
-    pub fn get(&mut self, key: &QuantizedKey, budget: Watts) -> Option<ModeCombination> {
-        let problem = self.find(key.fingerprint(), key.words())?;
+    pub fn get(&mut self, key: &ProblemKey, budget: Watts) -> Option<ModeCombination> {
+        let problem = self.find(&key.parts())?;
         let slot = self.answer(problem, budget)?;
         Some(self.touch(slot))
     }
 
     /// Raw insert: memoizes `combo`, the solved answer for `key` at
-    /// `budget` on `matrices`, evicting the least-recently-used answer at
-    /// capacity. Re-inserting an answer the key already holds refreshes
-    /// its value, range and recency.
-    pub fn insert(
-        &mut self,
-        key: &QuantizedKey,
-        matrices: &PowerBipsMatrices,
-        budget: Watts,
-        combo: ModeCombination,
-    ) {
+    /// `budget`, evicting the least-recently-used answer at capacity.
+    /// Re-inserting an answer the key already holds refreshes its value,
+    /// range and recency.
+    pub fn insert(&mut self, key: &ProblemKey, budget: Watts, combo: ModeCombination) {
         let problem = self.problem_for(key);
-        self.record(problem, matrices, budget, combo);
+        self.record(problem, budget, combo);
     }
 
     /// The memoizing equivalent of [`solver::solve`]: answers from the
-    /// cache when the canonicalized problem was seen before at a budget
+    /// cache when the same problem was seen before at a budget
     /// its answer covers, otherwise runs the exact branch-and-bound and
     /// memoizes the result.
     pub fn solve(
@@ -404,7 +601,6 @@ impl DecisionCache {
         explore: Micros,
     ) -> ModeCombination {
         self.counters.decisions_total += 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
         let ctx = PolicyContext {
             current_modes: current,
             matrices,
@@ -413,10 +609,9 @@ impl DecisionCache {
             dvfs,
             explore,
         };
-        Self::write_key(&mut scratch, &ctx, true);
-        let problem = self.find(scratch.fingerprint(), scratch.words());
+        let probe = ProblemRef::new(&ctx, true);
+        let problem = self.find(&probe);
         if let Some(slot) = problem.and_then(|p| self.answer(p, budget)) {
-            self.scratch = scratch;
             let combo = self.touch(slot);
             self.counters.cache_hits += 1;
             self.counters.solver_us_saved += self.mean_solve_micros();
@@ -434,9 +629,8 @@ impl DecisionCache {
         let combo = solver::solve(matrices, current, budget, dvfs, explore);
         self.solve_us_total += start.elapsed().as_secs_f64() * 1e6;
         self.solve_count += 1;
-        let problem = problem.unwrap_or_else(|| self.add_problem(scratch.to_key()));
-        self.scratch = scratch;
-        self.record(problem, matrices, budget, combo.clone());
+        let problem = problem.unwrap_or_else(|| self.add_problem(probe.to_key()));
+        self.record(problem, budget, combo.clone());
         combo
     }
 
@@ -479,23 +673,30 @@ impl DecisionCache {
     ///
     /// # Errors
     ///
-    /// Returns [`GpmError::InvalidConfig`] if `config` is invalid or an
-    /// answer names a problem the snapshot does not list.
+    /// Returns [`GpmError::InvalidConfig`] if `config` is invalid, an
+    /// answer names a problem the snapshot does not list, or an answer's
+    /// width is not its key's core count.
     pub fn restore(config: CacheConfig, snapshot: &CacheSnapshot) -> Result<Self> {
         let mut cache = Self::new(config)?;
         for answer in &snapshot.answers {
-            let key =
-                snapshot
-                    .problems
-                    .get(answer.problem)
-                    .ok_or_else(|| GpmError::InvalidConfig {
-                        parameter: "cache.snapshot",
-                        reason: format!(
-                            "answer names problem {} of {}",
-                            answer.problem,
-                            snapshot.problems.len()
-                        ),
-                    })?;
+            let invalid = |reason: String| GpmError::InvalidConfig {
+                parameter: "cache.snapshot",
+                reason,
+            };
+            let key = snapshot.problems.get(answer.problem).ok_or_else(|| {
+                invalid(format!(
+                    "answer names problem {} of {}",
+                    answer.problem,
+                    snapshot.problems.len()
+                ))
+            })?;
+            if answer.combo.len() != key.matrices.cores() {
+                return Err(invalid(format!(
+                    "a {}-mode answer to a {}-core problem",
+                    answer.combo.len(),
+                    key.matrices.cores()
+                )));
+            }
             let problem = cache.problem_for(key);
             cache.place(
                 problem,
@@ -510,18 +711,18 @@ impl DecisionCache {
         Ok(cache)
     }
 
-    /// The cached problem with these words, if any.
-    fn find(&self, fingerprint: u64, words: &[u64]) -> Option<usize> {
-        let mut problem = self.index.get(&fingerprint).copied().unwrap_or(NIL);
-        while problem != NIL && self.problems[problem].key.words() != words {
+    /// The cached problem `probe` names, if any.
+    fn find(&self, probe: &ProblemRef<'_>) -> Option<usize> {
+        let mut problem = self.index.get(&probe.fingerprint()).copied().unwrap_or(NIL);
+        while problem != NIL && self.problems[problem].key.parts() != *probe {
             problem = self.problems[problem].next;
         }
         (problem != NIL).then_some(problem)
     }
 
     /// The cached problem with `key`, indexed first if it is new.
-    fn problem_for(&mut self, key: &QuantizedKey) -> usize {
-        match self.find(key.fingerprint(), key.words()) {
+    fn problem_for(&mut self, key: &ProblemKey) -> usize {
+        match self.find(&key.parts()) {
             Some(problem) => problem,
             None => self.add_problem(key.clone()),
         }
@@ -530,7 +731,7 @@ impl DecisionCache {
     /// The slot of `problem`'s answer at `budget`, if one covers it.
     fn answer(&self, problem: usize, budget: Watts) -> Option<usize> {
         let problem = &self.problems[problem];
-        if problem.budget_in_key {
+        if problem.key.budget.is_some() {
             return problem.answers.first().copied();
         }
         let budget = budget.value();
@@ -551,26 +752,10 @@ impl DecisionCache {
     }
 
     /// Indexes a new problem with no answers yet.
-    fn add_problem(&mut self, key: QuantizedKey) -> usize {
-        // A budget-free key is `7n + 5` words for `n` cores, the first `6n`
-        // after the shape word being the cells' bit patterns.
-        let words = key.words();
-        let budget_free = words.first().is_some_and(|&cores| {
-            cores
-                .checked_mul(7)
-                .and_then(|w| w.checked_add(5))
-                .is_some_and(|len| len == words.len() as u64)
-        });
-        let widens = budget_free
-            && words[1..=6 * words[0] as usize]
-                .iter()
-                .map(|&w| f64::from_bits(w))
-                .all(|cell| cell >= 0.0 && cell.is_finite());
+    fn add_problem(&mut self, key: ProblemKey) -> usize {
         let fingerprint = key.fingerprint();
         let problem = Problem {
             key,
-            budget_in_key: !budget_free,
-            widens,
             answers: Vec::new(),
             next: NIL,
         };
@@ -606,24 +791,19 @@ impl DecisionCache {
             }
             self.problems[prev].next = next;
         }
-        self.problems[problem].key = QuantizedKey::default();
         self.free_problems.push(problem);
     }
 
     /// Memoizes `combo`, solved for `problem` at `budget`, over the
     /// budgets it is exact for.
-    fn record(
-        &mut self,
-        problem: usize,
-        matrices: &PowerBipsMatrices,
-        budget: Watts,
-        combo: ModeCombination,
-    ) {
+    fn record(&mut self, problem: usize, budget: Watts, combo: ModeCombination) {
         let budget = budget.value();
-        let (lo, hi) = if self.problems[problem].budget_in_key {
+        let key = &self.problems[problem].key;
+        let (lo, hi) = if key.budget.is_some() {
             (f64::NEG_INFINITY, f64::INFINITY)
-        } else if self.problems[problem].widens {
-            let power = matrices.chip_power(&combo).value();
+        } else if key.matrices.cells_valid() {
+            // Answers widen to `[P(c*), B]`.
+            let power = key.matrices.chip_power(&combo).value();
             // Over budget means nothing fits: the all-Eff2 fallback, which
             // then holds at every lower budget too.
             let lo = if power <= budget {
@@ -648,7 +828,9 @@ impl DecisionCache {
             .answers
             .get(at)
             .copied()
-            .filter(|&slot| self.problems[problem].budget_in_key || self.slots[slot].lo == lo);
+            .filter(|&slot| {
+                self.problems[problem].key.budget.is_some() || self.slots[slot].lo == lo
+            });
         if let Some(slot) = existing {
             let s = &mut self.slots[slot];
             s.combo = combo;
@@ -855,14 +1037,9 @@ mod tests {
         Fixture::new(&[(watts, 2.0)])
     }
 
-    fn key_of(cache: &DecisionCache, f: &Fixture, budget: f64) -> QuantizedKey {
-        cache.key(
-            &f.matrices,
-            &f.current,
-            Watts::new(budget),
-            &f.dvfs,
-            Micros::new(500.0),
-        )
+    /// The exact solver's key for `f` at `budget`.
+    fn key_of(f: &Fixture, budget: f64) -> ProblemKey {
+        ProblemKey::new(&f.ctx(budget), true)
     }
 
     #[test]
@@ -876,7 +1053,7 @@ mod tests {
             ..CacheConfig::default()
         })
         .expect("valid config");
-        assert_eq!(key_of(&cache, &f, 30.0), key_of(&cache, &f, 36.0));
+        assert_eq!(key_of(&f, 30.0), key_of(&f, 36.0));
         let sequence = [
             (30.0, false),
             (33.0, false),
@@ -949,14 +1126,9 @@ mod tests {
         .expect("valid config");
         let turbo = ModeCombination::uniform(1, PowerMode::Turbo);
         let fixtures = [one_core(10.0), one_core(11.0), one_core(12.0)];
-        let keys: Vec<QuantizedKey> = fixtures.iter().map(|f| key_of(&cache, f, 40.0)).collect();
+        let keys: Vec<ProblemKey> = fixtures.iter().map(|f| key_of(f, 40.0)).collect();
         let put = |cache: &mut DecisionCache, i: usize| {
-            cache.insert(
-                &keys[i],
-                &fixtures[i].matrices,
-                Watts::new(40.0),
-                turbo.clone(),
-            );
+            cache.insert(&keys[i], Watts::new(40.0), turbo.clone());
         };
         let hit =
             |cache: &mut DecisionCache, i: usize| cache.get(&keys[i], Watts::new(40.0)).is_some();
@@ -990,12 +1162,8 @@ mod tests {
         .expect("valid config");
         let turbo = ModeCombination::uniform(1, PowerMode::Turbo);
         let (a, b, c) = (one_core(20.0), one_core(21.0), one_core(22.0));
-        let (ka, kb, kc) = (
-            key_of(&cache, &a, 30.0),
-            key_of(&cache, &b, 30.0),
-            key_of(&cache, &c, 30.0),
-        );
-        cache.insert(&ka, &a.matrices, Watts::new(30.0), turbo.clone());
+        let (ka, kb, kc) = (key_of(&a, 30.0), key_of(&b, 30.0), key_of(&c, 30.0));
+        cache.insert(&ka, Watts::new(30.0), turbo.clone());
         assert!(
             cache.get(&ka, Watts::new(35.0)).is_none(),
             "35 W not seen yet"
@@ -1004,12 +1172,12 @@ mod tests {
             cache.get(&ka, Watts::new(19.0)).is_none(),
             "below the answer's power"
         );
-        cache.insert(&kb, &b.matrices, Watts::new(30.0), turbo.clone());
+        cache.insert(&kb, Watts::new(30.0), turbo.clone());
         // Same answer at 35 W: the range becomes [20, 35], still one answer.
-        cache.insert(&ka, &a.matrices, Watts::new(35.0), turbo.clone());
+        cache.insert(&ka, Watts::new(35.0), turbo.clone());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&ka, Watts::new(33.0)), Some(turbo.clone()));
-        cache.insert(&kc, &c.matrices, Watts::new(30.0), turbo);
+        cache.insert(&kc, Watts::new(30.0), turbo);
         assert!(
             cache.get(&kb, Watts::new(30.0)).is_none(),
             "b was LRU after a's refresh"
@@ -1020,7 +1188,6 @@ mod tests {
     fn keys_keep_the_budget_word_where_the_interval_rule_is_not_exact() {
         let f = Fixture::new(&[(20.0, 2.0), (15.0, 1.5)]);
         let len = |budget: f64, dvfs: &DvfsParams, explore: f64, solver_exact: bool| {
-            let mut b = QuantizedKeyBuilder::default();
             let ctx = PolicyContext {
                 current_modes: &f.current,
                 matrices: &f.matrices,
@@ -1029,8 +1196,7 @@ mod tests {
                 dvfs,
                 explore: Micros::new(explore),
             };
-            DecisionCache::write_key(&mut b, &ctx, solver_exact);
-            b.words().len()
+            ProblemKey::new(&ctx, solver_exact).to_words().len()
         };
         let (budget_free, budget_keyed) = (7 * 2 + 5, 7 * 2 + 6);
         let dvfs = &f.dvfs;
@@ -1091,15 +1257,11 @@ mod tests {
     fn a_budget_keyed_answer_serves_only_its_own_key() {
         let f = Fixture::new(&[(20.0, 2.0), (15.0, 1.5)]);
         let mut cache = DecisionCache::new(CacheConfig::default()).expect("valid config");
-        let key_at = |budget: f64| {
-            let mut b = QuantizedKeyBuilder::default();
-            DecisionCache::write_key(&mut b, &f.ctx(budget), false);
-            b.finish()
-        };
+        let key_at = |budget: f64| ProblemKey::new(&f.ctx(budget), false);
         let (k30, k33) = (key_at(30.0), key_at(33.0));
         assert_ne!(k30, k33);
         let eff2 = ModeCombination::uniform(2, PowerMode::Eff2);
-        cache.insert(&k30, &f.matrices, Watts::new(30.0), eff2.clone());
+        cache.insert(&k30, Watts::new(30.0), eff2.clone());
         // The key names its budget; the lookup budget plays no part.
         assert_eq!(cache.get(&k30, Watts::new(30.0)), Some(eff2.clone()));
         assert_eq!(cache.get(&k30, Watts::new(f64::NAN)), Some(eff2));
@@ -1135,12 +1297,113 @@ mod tests {
             1,
             "the restored range answers"
         );
-        let mut broken = snapshot;
-        broken.answers[0].problem = 7;
-        assert!(matches!(
-            DecisionCache::restore(CacheConfig::default(), &broken),
-            Err(GpmError::InvalidConfig { .. })
-        ));
+        // An answer naming no listed problem, or not as wide as its key.
+        for width in [None, Some(1), Some(3)] {
+            let mut broken = snapshot.clone();
+            match width {
+                None => broken.answers[0].problem = 7,
+                Some(width) => {
+                    broken.answers[0].combo = ModeCombination::uniform(width, PowerMode::Eff1)
+                }
+            }
+            assert!(matches!(
+                DecisionCache::restore(CacheConfig::default(), &broken),
+                Err(GpmError::InvalidConfig { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn keys_compare_every_part_past_a_shared_fingerprint() {
+        let f = Fixture::new(&[(20.0, 2.0), (15.0, 1.5)]);
+        let key = key_of(&f, 30.0);
+        // Shared storage and a separate copy of the same bits are one key.
+        let copy = PowerBipsMatrices::from_stacked_rows(f.matrices.stacked_rows());
+        let on = |matrices: &PowerBipsMatrices, current: &ModeCombination, exact: bool| {
+            let ctx = PolicyContext {
+                current_modes: current,
+                matrices,
+                ..f.ctx(30.0)
+            };
+            ProblemKey::new(&ctx, exact)
+        };
+        assert_eq!(key, key.clone());
+        assert_eq!(key, on(&copy, &f.current, true));
+        // A NaN cell is the same cell as itself, shared or copied.
+        let nan =
+            |cell: f64| PowerBipsMatrices::from_stacked_rows(vec![[cell, 1.0, 2.0], [1.0; 3]]);
+        let one = ModeCombination::uniform(1, PowerMode::Turbo);
+        assert_eq!(
+            on(&nan(f64::NAN), &one, true),
+            on(&nan(f64::NAN), &one, true)
+        );
+        // Keys differing in one part stay apart even under a forged
+        // fingerprint collision: the cells' sign of zero, a mode, the
+        // budget (kept, and kept at another value) and the explore words.
+        let mut eff1 = f.current.clone();
+        eff1.set(gpm_types::CoreId::new(0), PowerMode::Eff1);
+        let budget_keyed = on(&f.matrices, &f.current, false);
+        let other_budget = ProblemKey::new(&f.ctx(31.0), false);
+        let mut longer = f.ctx(30.0);
+        longer.explore = Micros::new(600.0);
+        for (a, mut b) in [
+            (on(&nan(0.0), &one, true), on(&nan(-0.0), &one, true)),
+            (key.clone(), on(&f.matrices, &eff1, true)),
+            (key.clone(), budget_keyed.clone()),
+            (budget_keyed, other_budget),
+            (key, ProblemKey::new(&longer, true)),
+        ] {
+            b.fingerprint = a.fingerprint;
+            assert_ne!(a, b);
+        }
+    }
+
+    #[test]
+    fn keys_serialize_as_words_and_recompute_the_fingerprint() {
+        let f = Fixture::new(&[(20.0, 2.0), (15.0, 1.5)]);
+        for exact in [true, false] {
+            let key = ProblemKey::new(&f.ctx(30.0), exact);
+            let value = serde::Serialize::to_value(&key);
+            let serde::json::Value::Object(fields) = &value else {
+                panic!("a key serializes as an object");
+            };
+            assert_eq!(fields.len(), 1);
+            assert_eq!(fields[0].0, "words");
+            let back = <ProblemKey as serde::Deserialize>::from_value(&value).expect("roundtrips");
+            assert_eq!(back, key);
+            assert_eq!(back.fingerprint(), key.fingerprint());
+            assert_eq!(back.to_words(), key.to_words());
+        }
+    }
+
+    #[test]
+    fn malformed_key_words_are_refused() {
+        let f = Fixture::new(&[(20.0, 2.0), (15.0, 1.5)]);
+        let words = key_of(&f, 30.0).to_words();
+        assert_eq!(words.len(), 7 * 2 + 5);
+        let refused = |words: &[u64]| {
+            matches!(
+                ProblemKey::from_words(words),
+                Err(GpmError::InvalidConfig { .. })
+            )
+        };
+        assert!(!refused(&words));
+        let mut budget_keyed = words.clone();
+        budget_keyed.push(30.0f64.to_bits());
+        assert!(!refused(&budget_keyed));
+        assert!(refused(&[]));
+        // Zero cores, an extra leading word, a word short and two over.
+        assert!(refused(&[0, 1, 2, 3, 4]));
+        assert!(refused(&[&[7], &words[..]].concat()));
+        assert!(refused(&words[..words.len() - 1]));
+        assert!(refused(&[&budget_keyed[..], &[0]].concat()));
+        // A core count whose length overflows.
+        assert!(refused(&[u64::MAX, 0, 0, 0, 0, 0]));
+        assert!(refused(&[u64::MAX / 7, 0, 0, 0, 0, 0]));
+        // A mode word that is not a mode index.
+        let mut bad_mode = words.clone();
+        bad_mode[1 + 6 * 2] = 3;
+        assert!(refused(&bad_mode));
     }
 
     #[test]

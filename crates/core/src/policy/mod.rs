@@ -18,8 +18,10 @@ mod pullhipushlo;
 pub mod solver;
 mod thermal_guard;
 
+pub(crate) use cache::ProblemRef;
 pub use cache::{
     CacheConfig, CacheCounters, CacheSnapshot, CachedAnswer, CachedMaxBips, DecisionCache,
+    ProblemKey,
 };
 pub use chipwide::ChipWide;
 pub use constant::Constant;

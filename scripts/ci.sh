@@ -89,8 +89,8 @@ GPM_THREADS=8 cargo test --quiet --test fleet_chaos
 # checkpoint/restore continuing bit-identically through the sharded
 # front. It also promises an allocation budget: a decoded report is one
 # heap block, a decision none, a report repeated through one reader none,
-# and a warm tick allocates per distinct problem, not per report
-# (alloc_budget, a counting global allocator).
+# and a warm tick allocates a bounded number of times, neither per report
+# nor per distinct problem (alloc_budget, a counting global allocator).
 # Run both groups under a serial and a saturated pool.
 echo "==> fleet service: serve_equivalence + alloc_budget under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test serve_equivalence --test alloc_budget

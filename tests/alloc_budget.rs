@@ -238,12 +238,13 @@ fn warm_tick_allocates_per_problem_not_per_report() {
     let misses = after.unique_solves - before.unique_solves;
     let groups = after.cache_hits - before.cache_hits + misses;
     assert_eq!(misses, 0, "two rotations leave every phase problem cached");
-    // Each distinct problem builds one owned key; the rest is the tick's
-    // scratch vectors and their doubling growth. The margin is wide enough
-    // that a change to those vectors cannot use it up; the per-report
-    // bound below is the one this test is about.
+    // A problem's key shares its report's matrices and keeps its modes
+    // inline, so building one allocates nothing: what is left is the
+    // tick's scratch vectors and their doubling growth, which does not
+    // grow with the number of problems. Measured: 27 allocations for
+    // 1,000 reports over 99 problems.
     assert!(
-        allocs <= 2 * groups + 64,
+        allocs <= 40,
         "warm tick of {NODES} reports over {groups} problems allocated {allocs} times"
     );
     assert!(

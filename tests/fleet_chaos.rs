@@ -373,6 +373,56 @@ fn restore_refuses_foreign_configurations() {
     }
 }
 
+/// Checkpoint JSON after a few ticks of a degraded-mode engine, its
+/// restore config, and `json` read back and restored under it.
+fn tamper_fixture() -> (String, impl Fn(&str) -> gpm::types::Result<FleetEngine>) {
+    let config = FleetConfig {
+        degraded: true,
+        ..FleetConfig::default()
+    };
+    let mut engine = FleetEngine::new(config.clone()).expect("valid config");
+    drive(&mut engine, 4, 0..2, 4);
+    let json = engine.checkpoint().to_json();
+    let restore = move |json: &str| {
+        FleetCheckpoint::from_json(json).and_then(|c| FleetEngine::restore(config.clone(), &c))
+    };
+    (json, restore)
+}
+
+/// A cached answer wider than its key's core count is refused on
+/// restore; accepted, its first hit would index the key's matrices out of
+/// bounds when the degraded path estimates its power.
+#[test]
+fn restore_refuses_an_answer_wider_than_its_key() {
+    let (json, restore) = tamper_fixture();
+    assert!(restore(&json).is_ok());
+    let combo = "\"combo\":{\"modes\":[";
+    assert!(json.contains(combo), "{json}");
+    let tampered = json.replacen(combo, &format!("{combo}\"Turbo\","), 1);
+    assert!(matches!(
+        restore(&tampered),
+        Err(GpmError::InvalidConfig { .. })
+    ));
+}
+
+/// A key word list that is not a problem key's layout is refused on
+/// restore; accepted, no lookup could ever match it. An extra leading word
+/// equal to the core count keeps a valid length, so the shifted words
+/// must fail the mode check instead.
+#[test]
+fn restore_refuses_a_key_with_an_extra_leading_word() {
+    let (json, restore) = tamper_fixture();
+    let words = "{\"words\":[4,";
+    assert!(json.contains(words), "{json}");
+    for extra in ["4,", "0,", "9,"] {
+        let tampered = json.replacen(words, &format!("{{\"words\":[{extra}4,"), 1);
+        assert!(
+            matches!(restore(&tampered), Err(GpmError::InvalidConfig { .. })),
+            "extra leading word {extra}"
+        );
+    }
+}
+
 /// FNV-1a 64; mirrors nothing in the library so the golden cannot drift
 /// with it.
 fn fnv1a(bytes: &[u8]) -> u64 {

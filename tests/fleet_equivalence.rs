@@ -1,5 +1,6 @@
-//! The decision cache's contract: with exact keying (quantum = 0) a cached
-//! decision path is *bit-identical* to the uncached exact solver — for
+//! The decision cache's contract: keys are exact (two problems share a
+//! key only when every input is bit-identical), so a cached decision path
+//! is *bit-identical* to the uncached exact solver — for
 //! single solves, for full manager runs, and for the fleet engine's batched
 //! tick protocol — and none of it depends on the worker-pool width.
 //!
@@ -24,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use gpm::cmp::{SimParams, TraceCmpSim};
 use gpm::core::{
     solver, BudgetSchedule, CacheConfig, CachedMaxBips, DecisionCache, FleetConfig, FleetEngine,
-    GlobalManager, MaxBips, NodeTelemetry, Policy, PolicyContext, PowerBipsMatrices,
+    GlobalManager, MaxBips, NodeTelemetry, Policy, PolicyContext, PowerBipsMatrices, ProblemKey,
 };
 use gpm::power::DvfsParams;
 use gpm::trace::{BenchmarkTraces, ModeTrace, TraceSample};
@@ -501,20 +502,18 @@ fn lru_eviction_is_deterministic_and_recency_driven() {
         );
         assert_eq!(cache.len(), 4, "bounded at capacity");
         // 0 survived its promotion; 1 was evicted.
-        let key0 = cache.key(
-            &problems[0].matrices,
-            &problems[0].current,
-            problems[0].budget,
-            &dvfs,
-            explore,
-        );
-        let key1 = cache.key(
-            &problems[1].matrices,
-            &problems[1].current,
-            problems[1].budget,
-            &dvfs,
-            explore,
-        );
+        let key = |t: &NodeTelemetry| {
+            let ctx = PolicyContext {
+                current_modes: &t.current,
+                matrices: &t.matrices,
+                future: None,
+                budget: t.budget,
+                dvfs: &dvfs,
+                explore,
+            };
+            ProblemKey::new(&ctx, true)
+        };
+        let (key0, key1) = (key(&problems[0]), key(&problems[1]));
         let hit0 = cache.get(&key0, problems[0].budget).is_some();
         let hit1 = cache.get(&key1, problems[1].budget).is_some();
         assert!(hit0, "promoted key must survive the eviction");
