@@ -601,6 +601,11 @@ impl DecisionCache {
         explore: Micros,
     ) -> ModeCombination {
         self.counters.decisions_total += 1;
+        if current.len() != matrices.cores() {
+            // A key's words carry one width, so a key built from this
+            // problem would read back as another: answer it unmemoized.
+            return solver::solve(matrices, current, budget, dvfs, explore);
+        }
         let ctx = PolicyContext {
             current_modes: current,
             matrices,
@@ -1356,6 +1361,25 @@ mod tests {
             b.fingerprint = a.fingerprint;
             assert_ne!(a, b);
         }
+    }
+
+    #[test]
+    fn a_width_mismatch_is_solved_but_not_memoized() {
+        let f = one_core(20.0);
+        let two_modes = ModeCombination::uniform(2, PowerMode::Turbo);
+        let mut cache = DecisionCache::new(CacheConfig::default()).expect("valid config");
+        let explore = Micros::new(500.0);
+        let combo = cache.solve(&f.matrices, &two_modes, Watts::new(25.0), &f.dvfs, explore);
+        assert_eq!(
+            combo,
+            solver::solve(&f.matrices, &two_modes, Watts::new(25.0), &f.dvfs, explore)
+        );
+        assert!(cache.is_empty());
+        let snapshot = cache.snapshot();
+        assert!(snapshot.problems.is_empty() && snapshot.answers.is_empty());
+        let restored = DecisionCache::restore(CacheConfig::default(), &snapshot).expect("restores");
+        assert!(restored.is_empty());
+        assert!(restored.snapshot().problems.is_empty());
     }
 
     #[test]

@@ -111,6 +111,22 @@ enum Listener {
     Unix(UnixListener, PathBuf),
 }
 
+impl Listener {
+    /// Waits for the next client.
+    fn accept(&self) -> Result<ClientStream> {
+        match self {
+            Self::Tcp(listener) => listener
+                .accept()
+                .map(|(stream, _)| ClientStream::Tcp(stream))
+                .map_err(|err| io_err("accepting tcp connection", err)),
+            Self::Unix(listener, _) => listener
+                .accept()
+                .map(|(stream, _)| ClientStream::Unix(stream))
+                .map_err(|err| io_err("accepting unix connection", err)),
+        }
+    }
+}
+
 /// A bound fleet decision server. Binding and running are split so
 /// callers (the CLI, tests, CI scripts) can learn the actual bound
 /// address — `tcp:host:0` binds an ephemeral port — before serving.
@@ -186,20 +202,7 @@ impl Server {
         let mut decisions = 0u64;
         let mut shutdown = false;
         while !shutdown {
-            let outcome = match &self.listener {
-                Listener::Tcp(listener) => {
-                    let (stream, _) = listener
-                        .accept()
-                        .map_err(|err| io_err("accepting tcp connection", err))?;
-                    serve_connection(stream, &mut self.engine)
-                }
-                Listener::Unix(listener, _) => {
-                    let (stream, _) = listener
-                        .accept()
-                        .map_err(|err| io_err("accepting unix connection", err))?;
-                    serve_connection(stream, &mut self.engine)
-                }
-            };
+            let outcome = serve_connection(self.listener.accept()?, &mut self.engine);
             connections += 1;
             match outcome {
                 Ok(conn) => {
@@ -240,11 +243,8 @@ struct ConnectionSummary {
 }
 
 /// Drives one client connection through the tick protocol.
-fn serve_connection<S>(stream: S, engine: &mut ShardedEngine) -> Result<ConnectionSummary>
-where
-    S: Read + Write + TryCloneStream,
-{
-    let writer_half = stream.try_clone_stream()?;
+fn serve_connection(stream: ClientStream, engine: &mut ShardedEngine) -> Result<ConnectionSummary> {
+    let writer_half = stream.try_clone()?;
     let mut reader = FrameReader::new(BufReader::new(stream));
     let mut writer = BufWriter::new(writer_half);
     let mut out = Vec::new();
@@ -303,26 +303,6 @@ where
     Ok(summary)
 }
 
-/// The one stream capability the server needs beyond `Read + Write`:
-/// splitting into an independently-owned writer half.
-trait TryCloneStream: Sized {
-    fn try_clone_stream(&self) -> Result<Self>;
-}
-
-impl TryCloneStream for TcpStream {
-    fn try_clone_stream(&self) -> Result<Self> {
-        self.try_clone()
-            .map_err(|err| io_err("cloning tcp stream", err))
-    }
-}
-
-impl TryCloneStream for UnixStream {
-    fn try_clone_stream(&self) -> Result<Self> {
-        self.try_clone()
-            .map_err(|err| io_err("cloning unix stream", err))
-    }
-}
-
 /// Connects to a serve endpoint, returning a unified stream for the
 /// client side.
 ///
@@ -340,7 +320,8 @@ pub fn connect(endpoint: &Endpoint) -> Result<ClientStream> {
     }
 }
 
-/// Client-side transport: TCP or Unix, one `Read + Write` surface.
+/// One connection's transport, on either side: TCP or Unix, one
+/// `Read + Write` surface.
 pub enum ClientStream {
     /// A TCP connection.
     Tcp(TcpStream),
@@ -356,8 +337,14 @@ impl ClientStream {
     /// Propagates the OS clone failure as [`GpmError::Wire`].
     pub fn try_clone(&self) -> Result<Self> {
         match self {
-            Self::Tcp(stream) => stream.try_clone_stream().map(Self::Tcp),
-            Self::Unix(stream) => stream.try_clone_stream().map(Self::Unix),
+            Self::Tcp(stream) => stream
+                .try_clone()
+                .map(Self::Tcp)
+                .map_err(|err| io_err("cloning tcp stream", err)),
+            Self::Unix(stream) => stream
+                .try_clone()
+                .map(Self::Unix)
+                .map_err(|err| io_err("cloning unix stream", err)),
         }
     }
 }

@@ -100,7 +100,8 @@ pub(crate) static TEST_OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 /// atomic cursor and write results into pre-indexed slots; the output is
 /// identical to `items.iter().map(f).collect()` for any thread count.
 /// Runs inline when the pool width is 1, there is at most one item, or the
-/// caller is itself inside a parallel region.
+/// caller is itself inside a parallel region; the width is only read (an
+/// environment lookup) when there are two items or more.
 ///
 /// # Panics
 ///
@@ -109,8 +110,11 @@ pub fn parallel_map<T: Sync, R: Send, F>(items: &[T], f: F) -> Vec<R>
 where
     F: Fn(&T) -> R + Sync,
 {
+    if items.len() <= 1 || in_parallel_region() {
+        return items.iter().map(f).collect();
+    }
     let threads = max_threads().min(items.len());
-    if threads <= 1 || in_parallel_region() {
+    if threads <= 1 {
         return items.iter().map(f).collect();
     }
 

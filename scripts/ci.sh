@@ -89,8 +89,10 @@ GPM_THREADS=8 cargo test --quiet --test fleet_chaos
 # checkpoint/restore continuing bit-identically through the sharded
 # front. It also promises an allocation budget: a decoded report is one
 # heap block, a decision none, a report repeated through one reader none,
-# and a warm tick allocates a bounded number of times, neither per report
-# nor per distinct problem (alloc_budget, a counting global allocator).
+# and a warm tick allocates once, for the decisions it returns, armed
+# (degraded mode, an idle rack budget and fault plan) or not: the tick's
+# working vectors are kept by the engine (alloc_budget, a counting global
+# allocator).
 # Run both groups under a serial and a saturated pool.
 echo "==> fleet service: serve_equivalence + alloc_budget under two pool widths"
 GPM_THREADS=1 cargo test --quiet --test serve_equivalence --test alloc_budget
@@ -102,7 +104,8 @@ GPM_THREADS=8 cargo test --quiet --test serve_equivalence --test alloc_budget
 # exits the server after the client disconnects; the retry loop absorbs
 # bind latency. The loadgen's JSON report must account for every measured
 # report: nodes x ticks decisions streamed and none rejected. Arguments
-# after the fourth are passed to the server as they are.
+# after the fourth are passed to the server as they are. The report is
+# left in SERVE_REPORT for further checks.
 serve_smoke() {
     local threads="$1" shards="$2" listen="$3" connect="$4"
     shift 4
@@ -134,10 +137,23 @@ nodes, ticks, report = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3
 assert report["decisions"] == nodes * ticks, f"decisions != {nodes} x {ticks}: {report}"
 assert report["rejected"] == 0, f"rejected submissions: {report}"
 EOF
+    SERVE_REPORT="$report"
 }
 GPM_SERVE_SOCK="$(mktemp -u /tmp/gpm-ci-serve.XXXXXX.sock)"
 serve_smoke 1 1 "unix:$GPM_SERVE_SOCK" "unix:$GPM_SERVE_SOCK"
 serve_smoke 1 2 "unix:$GPM_SERVE_SOCK" "unix:$GPM_SERVE_SOCK"
+# A rack budget that binds (64 nodes draw far more than 4 kW): every node
+# still gets its decision, and the server's own accounting must show the
+# rack enforced, by emergency shedding or a watchdog clamp.
+serve_smoke 2 2 "unix:$GPM_SERVE_SOCK" "unix:$GPM_SERVE_SOCK" --rack-budget 4000
+python3 - "$SERVE_REPORT" << 'EOF'
+import json
+import sys
+
+fleet = json.loads(json.loads(sys.argv[1])["server_stats"])["fleet"]
+enforced = fleet["shed_clamps"] + fleet["watchdog_clamp_ticks"]
+assert enforced > 0, f"a binding rack budget was never enforced: {fleet}"
+EOF
 rm -f "$GPM_SERVE_SOCK"
 serve_smoke 8 1 "tcp:127.0.0.1:47391" "tcp:127.0.0.1:47391"
 serve_smoke 8 2 "tcp:127.0.0.1:47392" "tcp:127.0.0.1:47392"
