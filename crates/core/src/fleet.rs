@@ -12,13 +12,12 @@
 //!    Reports with non-finite or negative power cells, mismatched matrix
 //!    shapes or degenerate budgets are rejected up front (counted in
 //!    [`FleetStats::rejected_invalid`]) so they can never poison the cache
-//!    key space; queue overflow is rejected and counted as backpressure,
-//!    with an exponential per-node retry hint when degraded mode is on. At
-//!    tick processing, fresh and tolerably-stale reports are decided,
-//!    older ones are dropped as stale, and reports at or beyond
-//!    [`FleetConfig::dark_after`] ticks old are dropped as *dark* — each
-//!    with its own counter, so the two failure classes (late node vs.
-//!    presumed-dead node) stay distinguishable.
+//!    key space; queue overflow is rejected and counted as backpressure.
+//!    At tick processing, fresh reports and those one tick old are
+//!    decided, older ones are dropped as stale, and reports 8 or more
+//!    ticks old are dropped as *dark* — each with its own counter, so the
+//!    two failure classes (late node vs. presumed-dead node) stay
+//!    distinguishable.
 //! 2. **Chaos seam.** With [`FleetConfig::faults`] armed, a stateless
 //!    seeded [`FleetFaultSession`] perturbs delivery on the serial intake
 //!    path: flapping nodes lose their reports, skewed reports age in
@@ -38,17 +37,18 @@
 //!    one cached answer serves every budget in its exact range, so a
 //!    re-budgeted node usually hits); residual misses fan out over the
 //!    `gpm_par` pool — the flat exact branch-and-bound up to
-//!    [`FleetConfig::flat_core_limit`] cores, [`HierMaxBips`] above — and
-//!    are inserted back serially in miss order, which keeps the cache's
-//!    LRU state (and therefore every later decision) independent of the
-//!    pool width.
+//!    [`FleetConfig::flat_core_limit`] cores, [`HierMaxBips`] over 8-core
+//!    clusters above — and are inserted back serially in miss order,
+//!    which keeps the cache's LRU state (and therefore every later
+//!    decision) independent of the pool width.
 //! 5. **Degraded-mode fallback.** With [`FleetConfig::degraded`] set, a
 //!    node whose report was dropped, invalidated or timed out still gets a
 //!    decision: its last successfully-issued assignment stepped down one
 //!    mode (power-safe: staleness only ever lowers power), or all-Eff2
-//!    when no last-good assignment exists.
-//!    Fallback decisions are flagged [`NodeDecision::degraded`] and counted
-//!    separately — they never enter the cache-accounting identity.
+//!    when no last-good assignment exists. That last good decision is the
+//!    only state the engine keeps per node. Fallback decisions are flagged
+//!    [`NodeDecision::degraded`] and counted separately — they never enter
+//!    the cache-accounting identity.
 //! 6. **Rack budget + watchdog.** With [`FleetConfig::rack_budget`] set, the
 //!    engine estimates total rack power each tick; when the estimate
 //!    exceeds the rack budget (e.g. after [`FleetEngine::set_rack_budget`]
@@ -87,20 +87,20 @@ use crate::{DecisionCache, PowerBipsMatrices};
 
 /// Version tag stamped on every [`FleetCheckpoint`]; bumped whenever the
 /// snapshot layout changes incompatibly. Version 2 stores the decision
-/// cache as problems plus budget-ranged answers.
-pub const FLEET_CHECKPOINT_VERSION: u32 = 2;
+/// cache as problems plus budget-ranged answers; version 3 stores each
+/// node as its last good decision alone.
+pub const FLEET_CHECKPOINT_VERSION: u32 = 3;
+
+/// Maximum telemetry age, in ticks, still decided rather than dropped.
+const STALE_TOLERANCE: usize = 1;
+
+/// Age, in ticks, at which a report counts as *dark* (node presumed
+/// unreachable) rather than merely stale.
+const DARK_AFTER: usize = 8;
 
 /// How many modes a degraded-mode fallback steps each core down from the
 /// node's last-good assignment (power-safe clamp; saturates at Eff2).
 const FALLBACK_STEPS: usize = 1;
-
-/// Retry delay, in ticks, advised after a node's first backpressure
-/// rejection in degraded mode.
-const RETRY_BASE: u64 = 1;
-
-/// Cap on the backoff exponent: the n-th consecutive rejection advises a
-/// `RETRY_BASE << min(n - 1, RETRY_MAX_EXP)` tick delay.
-const RETRY_MAX_EXP: u32 = 6;
 
 /// Consecutive estimated rack-violation ticks tolerated before the
 /// watchdog clamps the whole rack to Eff2 (the per-chip guard rails' K).
@@ -120,19 +120,10 @@ pub struct FleetConfig {
     /// Bound on telemetry queued between ticks; submissions beyond it are
     /// rejected (backpressure). Must be at least 1.
     pub queue_capacity: usize,
-    /// Maximum telemetry age, in ticks, still decided rather than dropped
-    /// (0 = fresh-only).
-    pub stale_tolerance: usize,
-    /// Age, in ticks, at which a report counts as *dark* (node presumed
-    /// unreachable) rather than merely stale. Must exceed
-    /// `stale_tolerance`.
-    pub dark_after: usize,
     /// Largest core count solved by the flat exact branch-and-bound;
     /// wider nodes use [`HierMaxBips`]. Must be between 1 and
     /// [`solver::MAX_CORES`].
     pub flat_core_limit: usize,
-    /// Cluster width for the hierarchical solver on wide nodes.
-    pub cluster_cores: usize,
     /// DVFS operating points assumed for every node (homogeneous fleet).
     pub dvfs: DvfsParams,
     /// Explore-interval length assumed for transition de-rating.
@@ -141,9 +132,9 @@ pub struct FleetConfig {
     /// entirely.
     pub faults: Option<FleetFaultPlan>,
     /// Degraded-mode fallback: nodes whose reports failed get a one-mode
-    /// step-down of their last-good assignment, and rejected submitters
-    /// get exponential retry advice. Off (the default) reproduces the
-    /// pre-hardening engine exactly — dropped reports yield no decision.
+    /// step-down of their last-good assignment. Off (the default)
+    /// reproduces the pre-hardening engine exactly — dropped reports yield
+    /// no decision.
     pub degraded: bool,
     /// Total rack power budget the per-tick estimate must fit under,
     /// enforced by emergency shedding and the rack watchdog. `None` (the
@@ -156,10 +147,7 @@ impl Default for FleetConfig {
         Self {
             cache: CacheConfig::default(),
             queue_capacity: 16_384,
-            stale_tolerance: 1,
-            dark_after: 8,
             flat_core_limit: 32,
-            cluster_cores: 8,
             dvfs: DvfsParams::paper(),
             explore: Micros::new(500.0),
             faults: None,
@@ -205,13 +193,8 @@ pub struct NodeDecision {
 pub enum SubmitOutcome {
     /// The report is queued for the next tick.
     Accepted,
-    /// The tick queue is full; the node should retry no earlier than
-    /// `retry_at` (exponential per-node backoff when degraded mode is on,
-    /// the next tick otherwise).
-    Rejected {
-        /// Earliest tick at which a retry is advised.
-        retry_at: u64,
-    },
+    /// The tick queue is full (backpressure).
+    Rejected,
     /// The report failed numeric/shape validation and was discarded.
     Invalid,
 }
@@ -232,11 +215,10 @@ pub struct FleetStats {
     pub dedup_hits: u64,
     /// Decisions that ran the solver.
     pub unique_solves: u64,
-    /// Reports dropped as stale (older than the tolerance, younger than
-    /// `dark_after`).
+    /// Reports dropped as stale (2 to 7 ticks old).
     pub dropped_stale: u64,
-    /// Reports dropped as dark (age at or beyond `dark_after`, or lost to
-    /// a node-flap outage).
+    /// Reports dropped as dark (8 or more ticks old, or lost to a
+    /// node-flap outage).
     pub dropped_dark: u64,
     /// Submissions rejected by the bounded tick queue.
     pub rejected_backpressure: u64,
@@ -314,21 +296,11 @@ impl FleetStats {
 
 /// A node's last successfully-issued assignment, kept for degraded-mode
 /// fallback.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug)]
 struct LastGood {
     modes: ModeCombination,
     /// Estimated chip power of that assignment, for rack accounting.
     watts: f64,
-}
-
-/// Per-node degraded-operation state.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-struct NodeState {
-    last_good: Option<LastGood>,
-    /// Consecutive backpressure rejections (drives the retry backoff).
-    rejections: u32,
-    /// Earliest tick a retry is advised after the last rejection.
-    retry_at: u64,
 }
 
 /// Live rack-watchdog state.
@@ -378,7 +350,7 @@ impl std::hash::Hasher for NodeIdHasher {
     }
 }
 
-type NodeMap = HashMap<u64, NodeState, std::hash::BuildHasherDefault<NodeIdHasher>>;
+type NodeMap = HashMap<u64, LastGood, std::hash::BuildHasherDefault<NodeIdHasher>>;
 type FingerprintMap = HashMap<u64, usize, std::hash::BuildHasherDefault<NodeIdHasher>>;
 
 /// The fleet shard function: which of `shards` shard-pinned engines owns
@@ -400,17 +372,19 @@ pub fn node_shard(node: u64, shards: usize) -> usize {
     (hasher.finish() % shards as u64) as usize
 }
 
-/// One per-node entry in a [`FleetCheckpoint`], ordered by node id.
+/// One node's last good decision in a [`FleetCheckpoint`], ordered by
+/// node id.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 struct NodeSnapshot {
     node: u64,
-    state: NodeState,
+    modes: ModeCombination,
+    watts: f64,
 }
 
 /// A versioned, serializable image of a [`FleetEngine`]'s inter-tick
-/// state: the decision cache (entries in recency order), every node's
-/// degraded-operation state, the rack-watchdog state, the cumulative
-/// stats and the tick cursor.
+/// state: the decision cache (entries in recency order), the last good
+/// decision of every node that has one (kept only in degraded mode), the
+/// rack-watchdog state, the cumulative stats and the tick cursor.
 ///
 /// Produced by [`FleetEngine::checkpoint`]; an engine rebuilt with
 /// [`FleetEngine::restore`] under the same configuration continues
@@ -544,7 +518,7 @@ struct TickScratch {
     dedup: FingerprintMap,
     /// Groups that missed the cache and must be solved, in group order.
     misses: Vec<usize>,
-    /// One per output decision.
+    /// One per output decision, recorded only when the power stage runs.
     backing: Vec<Backing>,
     /// Estimated watts per output decision, from the power stage.
     estimates: Vec<f64>,
@@ -651,13 +625,11 @@ pub struct FleetEngine {
     queue: Vec<NodeTelemetry>,
     stats: FleetStats,
     session: Option<FleetFaultSession>,
+    /// Each node's last good decision, written and read only in degraded
+    /// mode.
     nodes: NodeMap,
-    /// Nodes currently holding a nonzero rejection streak. Zero at steady
-    /// state, letting the accept path skip its node-map lookup entirely.
-    backoff_nodes: usize,
     rack_state: RackState,
-    /// The tick after the last processed one (backoff hints count from
-    /// here between ticks).
+    /// The tick after the last processed one.
     next_tick: u64,
     /// The tick's working set, lent to each tick and empty between them.
     scratch: TickScratch,
@@ -682,20 +654,9 @@ impl FleetEngine {
                 ),
             });
         }
-        if config.dark_after <= config.stale_tolerance {
-            return Err(GpmError::InvalidConfig {
-                parameter: "fleet.dark_after",
-                reason: format!(
-                    "dark_after ({}) must exceed stale_tolerance ({})",
-                    config.dark_after, config.stale_tolerance
-                ),
-            });
-        }
         if let Some(budget) = config.rack_budget {
             check_rack_budget(budget)?;
         }
-        // Validates cluster_cores (and pre-flights the wide-node path).
-        HierMaxBips::with_cluster_cores(config.cluster_cores)?;
         let cache = DecisionCache::new(config.cache.clone())?;
         let session = match &config.faults {
             Some(plan) => Some(FleetFaultSession::new(plan)?),
@@ -711,7 +672,6 @@ impl FleetEngine {
             stats: FleetStats::default(),
             session,
             nodes: NodeMap::default(),
-            backoff_nodes: 0,
             rack_state,
             next_tick: 0,
             scratch: TickScratch::default(),
@@ -743,14 +703,6 @@ impl FleetEngine {
         self.queue.len()
     }
 
-    /// The earliest tick `node` is advised to retry at after backpressure
-    /// rejections, if it is currently backing off.
-    #[must_use]
-    pub fn retry_at(&self, node: u64) -> Option<u64> {
-        let state = self.nodes.get(&node)?;
-        (state.rejections > 0).then_some(state.retry_at)
-    }
-
     /// Replaces the rack budget (or disables rack enforcement with
     /// `None`) mid-run — the emergency-shedding trigger. When only the
     /// budget steps, the watchdog keeps its streak and backoff.
@@ -775,8 +727,8 @@ impl FleetEngine {
     }
 
     /// Enqueues one report for the next [`run_tick`](Self::run_tick).
-    /// Returns `true` only when the report was accepted; rejections
-    /// (backpressure or validation) are counted. See
+    /// Returns `true` only when the report was accepted; a report refused
+    /// for backpressure or validation is counted. See
     /// [`try_submit`](Self::try_submit) for the distinguishing outcome.
     pub fn submit(&mut self, telemetry: NodeTelemetry) -> bool {
         matches!(self.try_submit(telemetry), SubmitOutcome::Accepted)
@@ -785,8 +737,7 @@ impl FleetEngine {
     /// Enqueues one report, reporting exactly why it was not queued:
     /// validation failure (non-finite/negative power or BIPS cells,
     /// mismatched matrix shapes, degenerate budget) or queue
-    /// backpressure, the latter with a per-node exponential-backoff retry
-    /// hint when degraded mode is configured.
+    /// backpressure.
     pub fn try_submit(&mut self, telemetry: NodeTelemetry) -> SubmitOutcome {
         if !telemetry_valid(&telemetry) {
             self.stats.rejected_invalid += 1;
@@ -794,28 +745,7 @@ impl FleetEngine {
         }
         if self.queue.len() >= self.config.queue_capacity {
             self.stats.rejected_backpressure += 1;
-            let retry_at = if self.config.degraded {
-                let state = self.nodes.entry(telemetry.node).or_default();
-                if state.rejections == 0 {
-                    self.backoff_nodes += 1;
-                }
-                let exp = state.rejections.min(RETRY_MAX_EXP);
-                state.rejections = state.rejections.saturating_add(1);
-                state.retry_at = self.next_tick + (RETRY_BASE << exp);
-                state.retry_at
-            } else {
-                self.next_tick
-            };
-            return SubmitOutcome::Rejected { retry_at };
-        }
-        if self.backoff_nodes > 0 {
-            if let Some(state) = self.nodes.get_mut(&telemetry.node) {
-                if state.rejections != 0 {
-                    state.rejections = 0;
-                    state.retry_at = 0;
-                    self.backoff_nodes -= 1;
-                }
-            }
+            return SubmitOutcome::Rejected;
         }
         self.queue.push(telemetry);
         SubmitOutcome::Accepted
@@ -834,8 +764,9 @@ impl FleetEngine {
         tick.dispositions.reserve_exact(batch.len());
         self.intake(now, &mut batch, &mut tick);
         self.decide(now, &batch, &mut tick);
-        let mut out = self.assemble(now, &batch, &mut tick);
-        if self.config.degraded || self.config.rack_budget.is_some() {
+        let powered = self.config.degraded || self.config.rack_budget.is_some();
+        let mut out = self.assemble(now, &batch, &mut tick, powered);
+        if powered {
             self.power_stage(&batch, &mut tick, &mut out);
         }
         batch.clear();
@@ -883,10 +814,10 @@ impl FleetEngine {
                     }
                 }
                 let age = now.saturating_sub(report.tick).saturating_add(skew) as usize;
-                if age >= self.config.dark_after {
+                if age >= DARK_AFTER {
                     self.stats.dropped_dark += 1;
                     failed(true)
-                } else if age > self.config.stale_tolerance {
+                } else if age > STALE_TOLERANCE {
                     self.stats.dropped_stale += 1;
                     failed(true)
                 } else {
@@ -959,15 +890,19 @@ impl FleetEngine {
     }
 
     /// Phase E: the output in submission order, with fallbacks (flagged)
-    /// where reports failed or their group's solve timed out.
+    /// where reports failed or their group's solve timed out. What backs
+    /// each decision is recorded only for the power stage (`powered`).
     fn assemble(
         &mut self,
         now: u64,
         batch: &[NodeTelemetry],
         tick: &mut TickScratch,
+        powered: bool,
     ) -> Vec<NodeDecision> {
         let mut out = Vec::with_capacity(batch.len());
-        tick.backing.reserve_exact(batch.len());
+        if powered {
+            tick.backing.reserve_exact(batch.len());
+        }
         for (report, &disposition) in batch.iter().zip(&tick.dispositions) {
             let issued = match disposition {
                 Disposition::Drop => None,
@@ -984,7 +919,9 @@ impl FleetEngine {
                     modes,
                     degraded: matches!(backing, Backing::Fallback(_)),
                 });
-                tick.backing.push(backing);
+                if powered {
+                    tick.backing.push(backing);
+                }
             }
         }
         out
@@ -1021,15 +958,18 @@ impl FleetEngine {
         }
         for ((decision, backing), &watts) in out.iter().zip(&tick.backing).zip(&tick.estimates) {
             if let Backing::Group(_) = backing {
-                let state = self.nodes.entry(decision.node).or_default();
-                let last = state.last_good.get_or_insert_with(|| LastGood {
-                    modes: decision.modes.clone(),
-                    watts,
-                });
                 // Reuse the standing allocation: at steady state this is a
                 // same-width copy, not an alloc.
-                last.modes.clone_from(&decision.modes);
-                last.watts = watts;
+                self.nodes
+                    .entry(decision.node)
+                    .and_modify(|last| {
+                        last.modes.clone_from(&decision.modes);
+                        last.watts = watts;
+                    })
+                    .or_insert_with(|| LastGood {
+                        modes: decision.modes.clone(),
+                        watts,
+                    });
             }
         }
     }
@@ -1047,11 +987,7 @@ impl FleetEngine {
         if !self.config.degraded {
             return None;
         }
-        let last_good = self
-            .nodes
-            .get(&report.node)
-            .and_then(|s| s.last_good.as_ref());
-        let (modes, watts) = if let Some(last_good) = last_good {
+        let (modes, watts) = if let Some(last_good) = self.nodes.get(&report.node) {
             let modes = step_down(&last_good.modes, FALLBACK_STEPS);
             let watts = last_good.watts * scale_ratio(&modes, &last_good.modes);
             (modes, watts)
@@ -1149,9 +1085,10 @@ impl FleetEngine {
         let mut nodes: Vec<NodeSnapshot> = self
             .nodes
             .iter()
-            .map(|(&node, state)| NodeSnapshot {
+            .map(|(&node, last)| NodeSnapshot {
                 node,
-                state: state.clone(),
+                modes: last.modes.clone(),
+                watts: last.watts,
             })
             .collect();
         nodes.sort_by_key(|snap| snap.node);
@@ -1169,8 +1106,8 @@ impl FleetEngine {
     /// Rebuilds an engine from a checkpoint taken under the same
     /// configuration. The restored engine continues bit-identically to
     /// one that never stopped: the cache holds the same entries in the
-    /// same recency order, every node's last-good state and backoff is
-    /// back, and the rack watchdog resumes mid-hold.
+    /// same recency order, every node's last good decision is back, and
+    /// the rack watchdog resumes mid-hold.
     ///
     /// # Errors
     ///
@@ -1198,13 +1135,14 @@ impl FleetEngine {
         engine.nodes = checkpoint
             .nodes
             .iter()
-            .map(|snap| (snap.node, snap.state.clone()))
+            .map(|snap| {
+                let last = LastGood {
+                    modes: snap.modes.clone(),
+                    watts: snap.watts,
+                };
+                (snap.node, last)
+            })
             .collect();
-        engine.backoff_nodes = engine
-            .nodes
-            .values()
-            .filter(|state| state.rejections != 0)
-            .count();
         engine.stats = checkpoint.stats;
         engine.rack_state = checkpoint.rack.clone();
         engine.next_tick = checkpoint.next_tick;
@@ -1315,10 +1253,12 @@ fn scale_ratio(new: &ModeCombination, old: &ModeCombination) -> f64 {
 /// restoring a checkpoint under a different configuration.
 ///
 /// The stream keeps the layout of the engine's earlier, wider
-/// configuration, so checkpoints written before its fixed values became
-/// constants still restore: the three zero words stand where the cache's
-/// key quanta were (exact keying), and the degraded and rack constants
-/// stand where their settable fields were.
+/// configuration, so a configuration's fingerprint did not move when its
+/// fixed values became constants: the three zero words stand where the
+/// cache's key quanta were (exact keying), and the staleness, cluster,
+/// degraded and rack constants stand where their settable fields were.
+/// Degraded mode hashes its step count alone since layout version 3
+/// dropped the retry advice; no earlier checkpoint restores under it.
 fn config_fingerprint(config: &FleetConfig) -> u64 {
     fn eat_byte(hash: &mut u64, byte: u8) {
         *hash ^= u64::from(byte);
@@ -1336,10 +1276,10 @@ fn config_fingerprint(config: &FleetConfig) -> u64 {
     }
     eat(&mut hash, u64::from(config.cache.verify_hits));
     eat(&mut hash, config.queue_capacity as u64);
-    eat(&mut hash, config.stale_tolerance as u64);
-    eat(&mut hash, config.dark_after as u64);
+    eat(&mut hash, STALE_TOLERANCE as u64);
+    eat(&mut hash, DARK_AFTER as u64);
     eat(&mut hash, config.flat_core_limit as u64);
-    eat(&mut hash, config.cluster_cores as u64);
+    eat(&mut hash, HierMaxBips::new().cluster_cores() as u64);
     eat(&mut hash, config.dvfs.nominal_vdd.value().to_bits());
     eat(&mut hash, config.dvfs.nominal_frequency.value().to_bits());
     eat(&mut hash, config.dvfs.slew_rate_v_per_us.to_bits());
@@ -1356,8 +1296,6 @@ fn config_fingerprint(config: &FleetConfig) -> u64 {
     }
     if config.degraded {
         eat(&mut hash, FALLBACK_STEPS as u64);
-        eat(&mut hash, RETRY_BASE);
-        eat(&mut hash, u64::from(RETRY_MAX_EXP));
     } else {
         eat(&mut hash, u64::MAX - 1);
     }
@@ -1392,7 +1330,8 @@ fn report_context<'a>(config: &'a FleetConfig, report: &'a NodeTelemetry) -> Pol
 }
 
 /// The fleet's solver dispatch: flat exact branch-and-bound up to the
-/// configured width, the two-level hierarchical policy above it.
+/// configured width, the two-level hierarchical policy over its default
+/// 8-core clusters above it.
 fn solve_report(config: &FleetConfig, report: &NodeTelemetry) -> ModeCombination {
     if solved_exactly(config, report) {
         solver::solve(
@@ -1403,9 +1342,7 @@ fn solve_report(config: &FleetConfig, report: &NodeTelemetry) -> ModeCombination
             config.explore,
         )
     } else {
-        let mut hier = HierMaxBips::with_cluster_cores(config.cluster_cores)
-            .expect("cluster width validated at engine construction");
-        hier.decide(&report_context(config, report))
+        HierMaxBips::new().decide(&report_context(config, report))
     }
 }
 
@@ -1455,7 +1392,6 @@ mod tests {
                 Box::new(|c: &mut FleetConfig| c.queue_capacity = 0) as Box<dyn Fn(&mut _)>,
                 "queue",
             ),
-            (Box::new(|c: &mut FleetConfig| c.cluster_cores = 0), "hier"),
             (
                 Box::new(|c: &mut FleetConfig| c.flat_core_limit = 0),
                 "flat",
@@ -1465,16 +1401,8 @@ mod tests {
                 "flat above the solver's width",
             ),
             (
-                Box::new(|c: &mut FleetConfig| c.cluster_cores = solver::MAX_CORES + 1),
-                "hier above the solver's width",
-            ),
-            (
                 Box::new(|c: &mut FleetConfig| c.cache.capacity = 0),
                 "cache",
-            ),
-            (
-                Box::new(|c: &mut FleetConfig| c.dark_after = 1),
-                "dark_after <= stale_tolerance",
             ),
             (
                 Box::new(|c: &mut FleetConfig| c.rack_budget = Some(Watts::new(f64::NAN))),
@@ -1567,11 +1495,7 @@ mod tests {
 
     #[test]
     fn stale_reports_are_dropped_fresh_ones_decided() {
-        let mut engine = FleetEngine::new(FleetConfig {
-            stale_tolerance: 1,
-            ..FleetConfig::default()
-        })
-        .expect("valid config");
+        let mut engine = FleetEngine::new(FleetConfig::default()).expect("valid config");
         assert!(engine.submit(telemetry(0, 5, 4, 0))); // fresh
         assert!(engine.submit(telemetry(1, 4, 4, 0))); // stale, in tolerance
         assert!(engine.submit(telemetry(2, 3, 4, 0))); // too old
@@ -1587,16 +1511,11 @@ mod tests {
 
     #[test]
     fn dark_reports_are_counted_separately_from_stale() {
-        let mut engine = FleetEngine::new(FleetConfig {
-            stale_tolerance: 1,
-            dark_after: 4,
-            ..FleetConfig::default()
-        })
-        .expect("valid config");
+        let mut engine = FleetEngine::new(FleetConfig::default()).expect("valid config");
         assert!(engine.submit(telemetry(0, 10, 4, 0))); // fresh
         assert!(engine.submit(telemetry(1, 8, 4, 0))); // age 2: stale-dropped
-        assert!(engine.submit(telemetry(2, 7, 4, 0))); // age 3: stale-dropped
-        assert!(engine.submit(telemetry(3, 6, 4, 0))); // age 4: dark
+        assert!(engine.submit(telemetry(2, 3, 4, 0))); // age 7: stale-dropped
+        assert!(engine.submit(telemetry(3, 2, 4, 0))); // age 8: dark
         assert!(engine.submit(telemetry(4, 1, 4, 0))); // age 9: dark
         let decisions = engine.run_tick(10);
         assert_eq!(decisions.len(), 1);
@@ -1612,16 +1531,21 @@ mod tests {
 
     #[test]
     fn kept_buffers_hold_the_largest_batch_and_no_more() {
-        let mut engine = FleetEngine::new(FleetConfig::default()).unwrap();
-        for (tick, nodes) in [(0, 1_000), (1, 10), (2, 1_500), (3, 1_500)] {
-            for node in 0..nodes {
-                assert!(engine.submit(telemetry(node, tick, 4, node % 7)));
+        // Backings are kept only for the power stage, which the default
+        // configuration never runs.
+        for (config, powered) in [(FleetConfig::default(), false), (degraded_config(), true)] {
+            let mut engine = FleetEngine::new(config).unwrap();
+            for (tick, nodes) in [(0, 1_000), (1, 10), (2, 1_500), (3, 1_500)] {
+                for node in 0..nodes {
+                    assert!(engine.submit(telemetry(node, tick, 4, node % 7)));
+                }
+                assert_eq!(engine.run_tick(tick).len(), nodes as usize);
+                let largest = if tick < 2 { 1_000 } else { 1_500 };
+                assert_eq!(engine.queue.capacity(), largest, "queue after tick {tick}");
+                assert_eq!(engine.scratch.dispositions.capacity(), largest);
+                let backing = if powered { largest } else { 0 };
+                assert_eq!(engine.scratch.backing.capacity(), backing);
             }
-            assert_eq!(engine.run_tick(tick).len(), nodes as usize);
-            let largest = if tick < 2 { 1_000 } else { 1_500 };
-            assert_eq!(engine.queue.capacity(), largest, "queue after tick {tick}");
-            assert_eq!(engine.scratch.dispositions.capacity(), largest);
-            assert_eq!(engine.scratch.backing.capacity(), largest);
         }
     }
 
@@ -1643,29 +1567,18 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_backoff_grows_exponentially_and_resets() {
+    fn rejected_submissions_leave_no_node_state() {
         let mut engine = FleetEngine::new(FleetConfig {
             queue_capacity: 1,
             ..degraded_config()
         })
         .expect("valid config");
         assert!(engine.submit(telemetry(0, 0, 4, 0)));
-        // Node 7 keeps getting rejected: 1, 2, 4 tick hints.
-        for expected in [1u64, 2, 4] {
-            match engine.try_submit(telemetry(7, 0, 4, 0)) {
-                SubmitOutcome::Rejected { retry_at } => assert_eq!(retry_at, expected),
-                other => panic!("expected backpressure, got {other:?}"),
-            }
+        for _ in 0..3 {
+            assert!(!engine.submit(telemetry(7, 0, 4, 0)));
         }
-        assert_eq!(engine.retry_at(7), Some(4));
-        engine.run_tick(0);
-        // Queue has room again: acceptance resets the backoff.
-        assert_eq!(
-            engine.try_submit(telemetry(7, 1, 4, 0)),
-            SubmitOutcome::Accepted
-        );
-        assert_eq!(engine.retry_at(7), None);
         assert_eq!(engine.stats().rejected_backpressure, 3);
+        assert!(engine.checkpoint().nodes.is_empty());
     }
 
     #[test]
@@ -1693,7 +1606,6 @@ mod tests {
     fn wide_nodes_take_the_hierarchical_path() {
         let config = FleetConfig {
             flat_core_limit: 8,
-            cluster_cores: 8,
             ..FleetConfig::default()
         };
         let mut engine = FleetEngine::new(config.clone()).expect("valid config");
@@ -1822,7 +1734,6 @@ mod tests {
     fn skew_ages_reports_into_the_stale_drop() {
         let plan = FleetFaultPlan::parse("skew@0:ticks=3").expect("skew@0:ticks=3 spec parses");
         let mut engine = FleetEngine::new(FleetConfig {
-            stale_tolerance: 1,
             faults: Some(plan),
             ..FleetConfig::default()
         })
@@ -2141,9 +2052,9 @@ mod tests {
         let checkpoint = engine.checkpoint();
         // Same config restores.
         assert!(FleetEngine::restore(config.clone(), &checkpoint).is_ok());
-        // A different stale tolerance is a different decision function.
+        // A different flat solver limit is a different decision function.
         let other = FleetConfig {
-            stale_tolerance: 3,
+            flat_core_limit: 2,
             ..config
         };
         assert!(matches!(

@@ -2,7 +2,7 @@
 
 use gpm_types::ModeCombination;
 
-use super::{best_under_budget, Policy, PolicyContext};
+use super::{solver, Policy, PolicyContext};
 
 /// MaxBIPS: predict the power and BIPS of **every** mode combination and
 /// pick the highest-throughput one that satisfies the budget.
@@ -10,7 +10,9 @@ use super::{best_under_budget, Policy, PolicyContext};
 /// Predictions come from the Power/BIPS matrices (cubic power, linear BIPS
 /// scaling of the last interval's observations) with the
 /// `explore/(explore+t)` transition de-rating factors applied. The search
-/// is the exhaustive 3^N enumeration the paper describes; use
+/// is the exhaustive 3^N enumeration the paper describes, answered by the
+/// exact branch-and-bound [`solver::solve`]: the same combination and
+/// tie-breaking as the scan at a small fraction of the candidates. Use
 /// [`GreedyMaxBips`](crate::GreedyMaxBips) for large core counts.
 ///
 /// MaxBIPS implicitly prioritises CPU-bound benchmarks (slowing them costs
@@ -45,7 +47,7 @@ impl Policy for MaxBips {
     }
 
     fn decide(&mut self, ctx: &PolicyContext<'_>) -> ModeCombination {
-        best_under_budget(
+        solver::solve(
             ctx.matrices,
             ctx.current_modes,
             ctx.budget,

@@ -99,26 +99,6 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
     }
 }
 
-/// The MaxBIPS argmax: the highest-throughput combination (with transition
-/// de-rating) whose predicted chip power fits the budget; falls back to
-/// all-Eff2 (minimum power) when nothing fits.
-///
-/// Semantically this is the paper's exhaustive 3^N search, but it is
-/// answered by the exact branch-and-bound in [`solver`] — bit-identical to
-/// the scan (same combination, same tie-breaking) at a small fraction of
-/// the candidates, which is what makes 16- and 32-way decisions tractable.
-/// The literal scan survives as [`solver::exhaustive`], the reference for
-/// equivalence tests and the bench baseline.
-pub(crate) fn best_under_budget(
-    matrices: &PowerBipsMatrices,
-    current: &ModeCombination,
-    budget: Watts,
-    dvfs: &DvfsParams,
-    explore: Micros,
-) -> ModeCombination {
-    solver::solve(matrices, current, budget, dvfs, explore)
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use gpm_cmp::CoreObservation;
@@ -175,11 +155,11 @@ mod tests {
     use gpm_types::{CoreId, PowerMode};
 
     #[test]
-    fn best_under_budget_prefers_throughput() {
+    fn solve_prefers_throughput() {
         // Core 0: hot and fast; core 1: cool and slow.
         let f = Fixture::new(&[(20.0, 2.0), (10.0, 0.4)]);
         // Generous budget: all Turbo.
-        let combo = best_under_budget(
+        let combo = solver::solve(
             &f.matrices,
             &f.current,
             Watts::new(30.0),
@@ -190,7 +170,7 @@ mod tests {
 
         // Tight budget: slowing the *slow* core saves power at almost no
         // BIPS cost, so core 1 is demoted first.
-        let combo = best_under_budget(
+        let combo = solver::solve(
             &f.matrices,
             &f.current,
             Watts::new(27.0),
@@ -202,9 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn best_under_budget_falls_back_to_all_eff2() {
+    fn solve_falls_back_to_all_eff2() {
         let f = Fixture::new(&[(20.0, 2.0)]);
-        let combo = best_under_budget(
+        let combo = solver::solve(
             &f.matrices,
             &f.current,
             Watts::new(1.0),

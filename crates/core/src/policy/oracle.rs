@@ -2,7 +2,7 @@
 
 use gpm_types::ModeCombination;
 
-use super::{best_under_budget, Policy, PolicyContext};
+use super::{solver, Policy, PolicyContext};
 
 /// Oracle mode selection: MaxBIPS search over matrices built from **future
 /// knowledge** — each core's actual power/BIPS over the next explore
@@ -46,7 +46,7 @@ impl Policy for Oracle {
         let matrices = ctx
             .future
             .expect("the manager supplies future matrices when needs_future() is true");
-        best_under_budget(
+        solver::solve(
             matrices,
             ctx.current_modes,
             ctx.budget,

@@ -5,9 +5,9 @@
 //! bounded ingest queue — so sharding is a plain partition by
 //! [`node_shard`]. A submission goes straight to its node's engine on the
 //! caller's thread and returns that engine's own [`SubmitOutcome`]
-//! (validation failures and backoff-aware retry hints included): the
-//! engine's `queue_capacity` is the one ingest bound, with no second
-//! window in front of it. A tick cut ([`ShardedEngine::run_tick`]) runs
+//! (validation failures and backpressure included): the engine's
+//! `queue_capacity` is the one ingest bound, with no second window in
+//! front of it. A tick cut ([`ShardedEngine::run_tick`]) runs
 //! the K engine ticks through [`gpm_par::parallel_map`] and joins their
 //! batches in shard order. Shard parallelism is therefore bounded by the
 //! pool width (`GPM_THREADS`), not by K, and the engine starts no
@@ -115,8 +115,7 @@ impl ShardedEngine {
 
     /// Routes one report to its node's shard engine and returns that
     /// engine's own outcome: [`SubmitOutcome::Invalid`] for a report that
-    /// fails validation, [`SubmitOutcome::Rejected`] (with the engine's
-    /// retry advice, per-node backoff in degraded mode) when the shard's
+    /// fails validation, [`SubmitOutcome::Rejected`] when the shard's
     /// `queue_capacity` is exhausted.
     pub fn try_submit(&mut self, telemetry: NodeTelemetry) -> SubmitOutcome {
         let index = node_shard(telemetry.node, self.engines.len());

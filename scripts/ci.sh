@@ -160,9 +160,18 @@ serve_smoke 8 2 "tcp:127.0.0.1:47392" "tcp:127.0.0.1:47392"
 # The same at two shards with the fallback machinery armed: solver
 # timeouts switch degraded mode on, and the rack budget is split per
 # shard. A timed-out report still gets a (fallback) decision, so the
-# accounting check is unchanged.
+# accounting check is unchanged. The server's own accounting must show
+# the degraded path ran: timeouts fired and each got its fallback.
 serve_smoke 2 2 "tcp:127.0.0.1:47393" "tcp:127.0.0.1:47393" \
     --faults 'timeout:rate=0.3' --fault-seed 7 --rack-budget 1e9
+python3 - "$SERVE_REPORT" << 'EOF'
+import json
+import sys
+
+fleet = json.loads(json.loads(sys.argv[1])["server_stats"])["fleet"]
+assert fleet["solver_timeouts"] > 0, f"no solver timeout fired: {fleet}"
+assert fleet["fallback_decisions"] >= fleet["solver_timeouts"], f"a timeout got no fallback: {fleet}"
+EOF
 
 # 16-way wide-CMP smoke: the scaling tier must keep running end to end
 # from the CLI (exact MaxBIPS vs greedy on a 3^16 search space).

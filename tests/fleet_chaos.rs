@@ -355,8 +355,6 @@ fn restore_refuses_foreign_configurations() {
     assert!(FleetEngine::restore(config.clone(), &checkpoint).is_ok());
     // Any decision-relevant knob difference is refused.
     for mutate in [
-        |c: &mut FleetConfig| c.stale_tolerance = 4,
-        |c: &mut FleetConfig| c.dark_after = 20,
         |c: &mut FleetConfig| c.flat_core_limit = 2,
         |c: &mut FleetConfig| c.degraded = true,
         |c: &mut FleetConfig| c.rack_budget = Some(Watts::new(100.0)),
@@ -459,8 +457,11 @@ fn without_wall_clock(json: &str) -> String {
 /// The serialized checkpoint format is a restart contract: its JSON after
 /// a fixed few ticks (wall-clock fields zeroed) is pinned byte for byte,
 /// so no in-memory key detail can leak into it. Pinned at layout
-/// version 2, where the cache lists each problem key once and every
-/// answer with the budget range it is exact for.
+/// version 3: the cache lists each problem key once and every answer with
+/// the budget range it is exact for (since version 2), and each node is
+/// its last good decision alone, `{node, modes, watts}`, with no retry
+/// advice (since version 3, which also dropped the retry constants from
+/// a degraded configuration's fingerprint).
 #[test]
 fn checkpoint_json_matches_golden_digest() {
     let config = FleetConfig {
@@ -474,7 +475,7 @@ fn checkpoint_json_matches_golden_digest() {
     assert!(json.contains("\"words\":["), "keys serialize as word lists");
     assert_eq!(
         fnv1a(json.as_bytes()),
-        0x68ea_20b8_1b6e_5ab5,
+        0x0492_38ae_90ee_ed24,
         "checkpoint JSON drifted"
     );
 }
@@ -499,24 +500,42 @@ fn default_config_fingerprint_matches_golden() {
 /// default configuration (wall-clock fields zeroed).
 const V1_CHECKPOINT: &str = r#"{"version":1,"config_fingerprint":7908314972348569418,"next_tick":1,"stats":{"decisions_total":1,"cache_hits":0,"dedup_hits":0,"unique_solves":1,"dropped_stale":0,"dropped_dark":0,"rejected_backpressure":0,"rejected_invalid":0,"fallback_decisions":0,"solver_timeouts":0,"flap_drops":0,"skew_delayed":0,"corrupted_reports":0,"shed_clamps":0,"rack_violation_ticks":0,"watchdog_clamp_ticks":0,"longest_rack_violation_run":0,"worst_rack_overshoot_watts":0,"solver_us_spent":0,"solver_us_saved":0},"cache":{"entries":[[{"words":[1,4626322717216342016,4622945017495814144,4619567317775286272,4611686018427387904,4610334938539176755,4608983858650965606,0,4624633867356078080,4647503709213818880,4608533498688228557,4741671816366391296,4576918229304087675]},{"modes":["Eff1"]}]],"counters":{"decisions_total":0,"cache_hits":0,"dedup_hits":0,"solver_us_saved":0},"solve_us_total":0,"solve_count":0},"nodes":[],"rack":{"violation_streak":0,"current_run":0,"clamp_remaining":0,"backoff":0}}"#;
 
-/// A checkpoint of the previous layout is refused by version, with an
-/// error that names it, rather than half-parsed or misread.
-#[test]
-fn version_one_checkpoint_is_refused_by_name() {
-    let err = FleetCheckpoint::from_json(V1_CHECKPOINT).expect_err("v1 must be refused");
-    match err {
+/// A version-2 checkpoint, written by the engine before nodes lost their
+/// retry advice: a degraded engine with a one-report queue after one tick,
+/// holding node 0's last good decision and node 7's streak of three
+/// backpressure rejections (wall-clock fields zeroed).
+const V2_CHECKPOINT: &str = r#"{"version":2,"config_fingerprint":9143602958714790200,"next_tick":1,"stats":{"decisions_total":1,"cache_hits":0,"dedup_hits":0,"unique_solves":1,"dropped_stale":0,"dropped_dark":0,"rejected_backpressure":3,"rejected_invalid":0,"fallback_decisions":0,"solver_timeouts":0,"flap_drops":0,"skew_delayed":0,"corrupted_reports":0,"shed_clamps":0,"rack_violation_ticks":0,"watchdog_clamp_ticks":0,"longest_rack_violation_run":0,"worst_rack_overshoot_watts":0,"solver_us_spent":0,"solver_us_saved":0},"cache":{"problems":[{"words":[1,4626322717216342016,4622945017495814144,4619567317775286272,4611686018427387904,4610334938539176755,4608983858650965606,0,4647503709213818880,4608533498688228557,4741671816366391296,4576918229304087675]}],"answers":[{"problem":0,"combo":{"modes":["Eff1"]},"lo":12,"hi":15}],"counters":{"decisions_total":0,"cache_hits":0,"dedup_hits":0,"solver_us_saved":0},"solve_us_total":0,"solve_count":0},"nodes":[{"node":0,"state":{"last_good":{"modes":{"modes":["Eff1"]},"watts":12},"rejections":0,"retry_at":0}},{"node":7,"state":{"last_good":null,"rejections":3,"retry_at":5}}],"rack":{"violation_streak":0,"current_run":0,"clamp_remaining":0,"backoff":0}}"#;
+
+/// Asserts `json`, a checkpoint of layout `version`, is refused with an
+/// error that names both its version and the current one.
+fn assert_refused_by_name(json: &str, version: u32) {
+    match FleetCheckpoint::from_json(json).expect_err("an earlier layout must be refused") {
         GpmError::InvalidConfig { parameter, reason } => {
             assert_eq!(parameter, "fleet.checkpoint");
-            assert!(reason.contains("version 1"), "{reason}");
-            assert!(reason.contains("version 2"), "{reason}");
+            assert!(reason.contains(&format!("version {version}")), "{reason}");
+            assert!(reason.contains("version 3"), "{reason}");
         }
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
+}
+
+/// A checkpoint of an earlier layout is refused by version, with an error
+/// that names it, rather than half-parsed or misread.
+#[test]
+fn version_one_checkpoint_is_refused_by_name() {
+    assert_refused_by_name(V1_CHECKPOINT, 1);
     // The current layout still round-trips.
     let engine = FleetEngine::new(FleetConfig::default()).expect("valid config");
     let json = engine.checkpoint().to_json();
-    assert!(json.starts_with("{\"version\":2,"), "{json}");
+    assert!(json.starts_with("{\"version\":3,"), "{json}");
     assert!(FleetCheckpoint::from_json(&json).is_ok());
+}
+
+/// The version-2 layout carried per-node retry advice; it is refused by
+/// name too, not read with the streak silently dropped.
+#[test]
+fn version_two_checkpoint_is_refused_by_name() {
+    assert_refused_by_name(V2_CHECKPOINT, 2);
 }
 
 /// A restored engine answers its next tick from the cache exactly like
